@@ -5,7 +5,6 @@ type msg = Req | Fk
 type proc = {
   pid : pid;
   nbrs : pid array;
-  index_of : (pid, int) Hashtbl.t;
   mutable phase : phase;
   fork : bool array;
   clean : bool array; (* meaningful only while fork.(k) or the fork is in transit *)
@@ -18,6 +17,7 @@ type t = {
   graph : Cgraph.Graph.t;
   detector : Fd.Detector.t;
   procs : proc array;
+  pos : int array; (* directed slot (i, j) -> j's index in i's per-neighbor arrays *)
   mutable net : msg Net.Network.t option;
   mutable listeners : (pid -> phase -> unit) list;
 }
@@ -25,14 +25,14 @@ type t = {
 let net t = match t.net with Some n -> n | None -> assert false
 let proc t i = t.procs.(i)
 
-let nbr_index p j =
-  match Hashtbl.find_opt p.index_of j with
-  | Some k -> k
-  | None -> invalid_arg "chandy_misra: not a neighbor"
+let nbr_index t p j =
+  let s = Cgraph.Graph.dir_index_opt t.graph p.pid j in
+  if s < 0 then invalid_arg "chandy_misra: not a neighbor";
+  t.pos.(s)
 
 let notify t i =
   let p = proc t i in
-  List.iter (fun f -> f i p.phase) t.listeners
+  Dining.Instance.notify t.listeners i p.phase
 
 let suspects t i j = t.detector.Fd.Detector.suspects ~observer:i ~target:j
 
@@ -63,7 +63,7 @@ let try_actions t i =
 
 let receive_request t i ~from:j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if not p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "chandy_misra: %d requested a fork %d lacks" j i));
   p.token.(k) <- true;
@@ -78,7 +78,7 @@ let receive_request t i ~from:j =
 
 let receive_fork t i ~from:j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "chandy_misra: duplicated fork (%d,%d)" i j));
   p.fork.(k) <- true;
@@ -118,12 +118,9 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector () =
     Array.init (Cgraph.Graph.n graph) (fun i ->
         let nbrs = Cgraph.Graph.neighbors graph i in
         let deg = Array.length nbrs in
-        let index_of = Hashtbl.create (max 1 deg) in
-        Array.iteri (fun k j -> Hashtbl.add index_of j k) nbrs;
         {
           pid = i;
           nbrs;
-          index_of;
           phase = Thinking;
           (* Dirty forks at the lower-id endpoint: the initial precedence
              graph (edges toward fork holders) is acyclic. *)
@@ -132,7 +129,11 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector () =
           token = Array.map (fun j -> i > j) nbrs;
         })
   in
-  let t = { engine; faults; graph; detector; procs; net = None; listeners = [] } in
+  let pos = Array.make (Cgraph.Graph.dir_count graph) 0 in
+  Array.iter
+    (fun p -> Array.iteri (fun k j -> pos.(Cgraph.Graph.dir_index graph p.pid j) <- k) p.nbrs)
+    procs;
+  let t = { engine; faults; graph; detector; procs; pos; net = None; listeners = [] } in
   let network =
     Net.Network.create ~engine ~graph ~delay ~faults ~rng
       ~kind:(function Req -> "request" | Fk -> "fork")
@@ -150,13 +151,13 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector () =
   t
 
 let network_stats t = Net.Network.stats (net t)
-let holds_fork t i j = (proc t i).fork.(nbr_index (proc t i) j)
-let fork_clean t i j = (proc t i).clean.(nbr_index (proc t i) j)
+let holds_fork t i j = (proc t i).fork.(nbr_index t (proc t i) j)
+let fork_clean t i j = (proc t i).clean.(nbr_index t (proc t i) j)
 
 let check_invariants t =
   Cgraph.Graph.iter_edges t.graph (fun i j ->
       let pi = proc t i and pj = proc t j in
-      if pi.fork.(nbr_index pi j) && pj.fork.(nbr_index pj i) then
+      if pi.fork.(nbr_index t pi j) && pj.fork.(nbr_index t pj i) then
         raise (Invariant_violation (Printf.sprintf "chandy_misra: two forks on edge (%d,%d)" i j)))
 
 let instance t =

@@ -6,7 +6,6 @@ type proc = {
   pid : pid;
   color : int;
   nbrs : pid array;
-  index_of : (pid, int) Hashtbl.t;
   mutable phase : phase;
   fork : bool array;
   token : bool array;
@@ -18,6 +17,7 @@ type t = {
   graph : Cgraph.Graph.t;
   detector : Fd.Detector.t;
   procs : proc array;
+  pos : int array; (* directed slot (i, j) -> j's index in i's per-neighbor arrays *)
   mutable net : msg Net.Network.t option;
   mutable listeners : (pid -> phase -> unit) list;
 }
@@ -25,14 +25,14 @@ type t = {
 let net t = match t.net with Some n -> n | None -> assert false
 let proc t i = t.procs.(i)
 
-let nbr_index p j =
-  match Hashtbl.find_opt p.index_of j with
-  | Some k -> k
-  | None -> invalid_arg "fork_only: not a neighbor"
+let nbr_index t p j =
+  let s = Cgraph.Graph.dir_index_opt t.graph p.pid j in
+  if s < 0 then invalid_arg "fork_only: not a neighbor";
+  t.pos.(s)
 
 let notify t i =
   let p = proc t i in
-  List.iter (fun f -> f i p.phase) t.listeners
+  Dining.Instance.notify t.listeners i p.phase
 
 let suspects t i j = t.detector.Fd.Detector.suspects ~observer:i ~target:j
 
@@ -60,7 +60,7 @@ let try_actions t i =
 
 let receive_request t i ~from:j ~color:color_j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if not p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "fork_only: %d requested a fork %d lacks" j i));
   p.token.(k) <- true;
@@ -75,7 +75,7 @@ let receive_request t i ~from:j ~color:color_j =
 
 let receive_fork t i ~from:j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "fork_only: duplicated fork (%d,%d)" i j));
   p.fork.(k) <- true;
@@ -119,19 +119,20 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors () =
   let procs =
     Array.init (Cgraph.Graph.n graph) (fun i ->
         let nbrs = Cgraph.Graph.neighbors graph i in
-        let index_of = Hashtbl.create (max 1 (Array.length nbrs)) in
-        Array.iteri (fun k j -> Hashtbl.add index_of j k) nbrs;
         {
           pid = i;
           color = colors.(i);
           nbrs;
-          index_of;
           phase = Thinking;
           fork = Array.map (fun j -> colors.(i) > colors.(j)) nbrs;
           token = Array.map (fun j -> colors.(i) < colors.(j)) nbrs;
         })
   in
-  let t = { engine; faults; graph; detector; procs; net = None; listeners = [] } in
+  let pos = Array.make (Cgraph.Graph.dir_count graph) 0 in
+  Array.iter
+    (fun p -> Array.iteri (fun k j -> pos.(Cgraph.Graph.dir_index graph p.pid j) <- k) p.nbrs)
+    procs;
+  let t = { engine; faults; graph; detector; procs; pos; net = None; listeners = [] } in
   let network =
     Net.Network.create ~engine ~graph ~delay ~faults ~rng
       ~kind:(function Req _ -> "request" | Fk -> "fork")
@@ -153,7 +154,7 @@ let network_stats t = Net.Network.stats (net t)
 let check_invariants t =
   Cgraph.Graph.iter_edges t.graph (fun i j ->
       let pi = proc t i and pj = proc t j in
-      if pi.fork.(nbr_index pi j) && pj.fork.(nbr_index pj i) then
+      if pi.fork.(nbr_index t pi j) && pj.fork.(nbr_index t pj i) then
         raise (Invariant_violation (Printf.sprintf "fork_only: two forks on edge (%d,%d)" i j)))
 
 let instance t =

@@ -5,7 +5,6 @@ type msg = Req | Fk
 type proc = {
   pid : pid;
   order : pid array; (* neighbors sorted by ascending edge rank *)
-  index_of : (pid, int) Hashtbl.t; (* neighbor pid -> position in [order] *)
   mutable phase : phase;
   fork : bool array; (* indexed like [order] *)
   token : bool array;
@@ -18,6 +17,7 @@ type t = {
   graph : Cgraph.Graph.t;
   detector : Fd.Detector.t;
   procs : proc array;
+  pos : int array; (* directed slot (i, j) -> j's index in i's per-neighbor arrays *)
   mutable net : msg Net.Network.t option;
   mutable listeners : (pid -> phase -> unit) list;
 }
@@ -25,16 +25,16 @@ type t = {
 let net t = match t.net with Some n -> n | None -> assert false
 let proc t i = t.procs.(i)
 
-let nbr_index p j =
-  match Hashtbl.find_opt p.index_of j with
-  | Some k -> k
-  | None -> invalid_arg "ordered: not a neighbor"
+let nbr_index t p j =
+  let s = Cgraph.Graph.dir_index_opt t.graph p.pid j in
+  if s < 0 then invalid_arg "ordered: not a neighbor";
+  t.pos.(s)
 
 let edge_rank i j = (min i j, max i j)
 
 let notify t i =
   let p = proc t i in
-  List.iter (fun f -> f i p.phase) t.listeners
+  Dining.Instance.notify t.listeners i p.phase
 
 let suspects t i j = t.detector.Fd.Detector.suspects ~observer:i ~target:j
 
@@ -64,7 +64,7 @@ let try_actions t i =
 
 let receive_request t i ~from:j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if not p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "ordered: %d requested a fork %d lacks" j i));
   p.token.(k) <- true;
@@ -79,7 +79,7 @@ let receive_request t i ~from:j =
 
 let receive_fork t i ~from:j =
   let p = proc t i in
-  let k = nbr_index p j in
+  let k = nbr_index t p j in
   if p.fork.(k) then
     raise (Invariant_violation (Printf.sprintf "ordered: duplicated fork (%d,%d)" i j));
   p.fork.(k) <- true;
@@ -118,12 +118,9 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector () =
     Array.init (Cgraph.Graph.n graph) (fun i ->
         let order = Array.copy (Cgraph.Graph.neighbors graph i) in
         Array.sort (fun a b -> compare (edge_rank i a) (edge_rank i b)) order;
-        let index_of = Hashtbl.create (max 1 (Array.length order)) in
-        Array.iteri (fun k j -> Hashtbl.add index_of j k) order;
         {
           pid = i;
           order;
-          index_of;
           phase = Thinking;
           (* Forks start at the lower endpoint of each edge (any fixed
              placement works; locks, not placement, give deadlock
@@ -133,7 +130,11 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector () =
           progress = 0;
         })
   in
-  let t = { engine; faults; graph; detector; procs; net = None; listeners = [] } in
+  let pos = Array.make (Cgraph.Graph.dir_count graph) 0 in
+  Array.iter
+    (fun p -> Array.iteri (fun k j -> pos.(Cgraph.Graph.dir_index graph p.pid j) <- k) p.order)
+    procs;
+  let t = { engine; faults; graph; detector; procs; pos; net = None; listeners = [] } in
   let network =
     Net.Network.create ~engine ~graph ~delay ~faults ~rng
       ~kind:(function Req -> "request" | Fk -> "fork")
@@ -156,7 +157,7 @@ let progress t i = (proc t i).progress
 let check_invariants t =
   Cgraph.Graph.iter_edges t.graph (fun i j ->
       let pi = proc t i and pj = proc t j in
-      if pi.fork.(nbr_index pi j) && pj.fork.(nbr_index pj i) then
+      if pi.fork.(nbr_index t pi j) && pj.fork.(nbr_index t pj i) then
         raise (Invariant_violation (Printf.sprintf "ordered: two forks on edge (%d,%d)" i j)))
 
 let instance t =

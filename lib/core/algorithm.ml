@@ -74,7 +74,7 @@ let send t ~slot ~src ~dst msg =
 let notify_phase t i =
   let p = phase t i in
   Obs.Recorder.phase t.trace ~time:(now t) ~pid:i ~phase:(Types.phase_to_string p);
-  List.iter (fun f -> f i p) t.listeners
+  Instance.notify t.listeners i p
 
 (* ------------------------------------------------------------------ *)
 (* Guarded internal actions (Actions 2, 5, 6, 9).                      *)

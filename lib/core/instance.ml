@@ -6,3 +6,10 @@ type t = {
   add_listener : (Types.pid -> Types.phase -> unit) -> unit;
   check_invariants : unit -> unit;
 }
+
+let[@lint.hot] rec notify listeners pid phase =
+  match listeners with
+  | [] -> ()
+  | f :: rest ->
+      f pid phase;
+      notify rest pid phase

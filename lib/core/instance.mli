@@ -22,3 +22,8 @@ type t = {
           the implementation fails; implementations without executable
           invariants make this a no-op. *)
 }
+
+val notify : (Types.pid -> Types.phase -> unit) list -> Types.pid -> Types.phase -> unit
+(** Helper for implementations: call each listener, in list order, with
+    one transition. Allocates nothing (a [List.iter] over a closure
+    capturing the transition would allocate that closure per call). *)

@@ -4,6 +4,9 @@ type t = {
   subscribe : (int -> unit) -> unit;
 }
 
-(* Listeners are stored newest-first (O(1) subscribe); reverse at fire so
-   callbacks run in registration order. *)
-let notify listeners observer = List.iter (fun f -> f observer) (List.rev !listeners)
+(* Listeners are kept in subscription order: subscribing (a handful of
+   times per world) pays the append, so an emission walks the list as
+   it is, with no reversed copy and no closure. *)
+let subscribe listeners f = listeners := !listeners @ [ f ]
+
+let notify listeners observer = Obs.Recorder.call_all !listeners observer

@@ -21,7 +21,11 @@ type t = {
           polling. *)
 }
 
+val subscribe : (int -> unit) list ref -> (int -> unit) -> unit
+(** Helper for implementations: append a listener, keeping the list in
+    subscription order. *)
+
 val notify : (int -> unit) list ref -> int -> unit
 (** Helper for implementations: invoke all listeners for an observer, in
-    registration order. The list is expected to be maintained newest-first
-    (prepend on subscribe); [notify] reverses before firing. *)
+    subscription order (the order {!subscribe} maintains). Allocates
+    nothing. *)

@@ -48,31 +48,39 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
     }
   in
   let n = Cgraph.Graph.n graph in
+  let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
   (* Monitoring side: while [observer] does not suspect [target], exactly one
      check event is pending; a suspicion freezes checking until a heartbeat
-     arrives and resets it. *)
-  let rec schedule_check observer target at =
-    ignore
-      (Sim.Engine.schedule engine ~owner:observer ~at (fun () ->
-           if not (Net.Faults.is_crashed faults observer) then begin
-             let s = slot t observer target in
-             if not (suspected t s) then begin
-               let deadline = Sim.Time.add t.hb_last.(s) t.hb_timeout.(s) in
-               let now = Sim.Engine.now engine in
-               if now >= deadline then begin
-                 Bytes.unsafe_set t.hb_suspected s '\001';
-                 if not (Net.Faults.is_crashed faults target) then begin
-                   t.mistakes <- t.mistakes + 1;
-                   t.last_mistake <- Some now
-                 end;
-                 Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:now ~observer
-                   ~target ~on:true;
-                 Detector.notify t.listeners observer
-               end
-               else schedule_check observer target deadline
-             end
-           end))
+     arrives and resets it. Each directed slot's check closure is built
+     once here, so re-arming a check allocates only the engine's event. *)
+  let checks = Array.make dirs ignore in
+  let schedule_check observer s at =
+    ignore (Sim.Engine.schedule engine ~owner:observer ~at checks.(s))
   in
+  for observer = 0 to n - 1 do
+    for s = off.(observer) to off.(observer + 1) - 1 do
+      let target = nbr.(s) in
+      checks.(s) <-
+        (fun () ->
+          if not (Net.Faults.is_crashed faults observer) then begin
+            if not (suspected t s) then begin
+              let deadline = Sim.Time.add t.hb_last.(s) t.hb_timeout.(s) in
+              let now = Sim.Engine.now engine in
+              if now >= deadline then begin
+                Bytes.unsafe_set t.hb_suspected s '\001';
+                if not (Net.Faults.is_crashed faults target) then begin
+                  t.mistakes <- t.mistakes + 1;
+                  t.last_mistake <- Some now
+                end;
+                Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:now ~observer ~target
+                  ~on:true;
+                Detector.notify t.listeners observer
+              end
+              else schedule_check observer s deadline
+            end
+          end)
+    done
+  done;
   let[@lint.hot] handler ~dst ~src () =
     let s = slot t dst src in
     t.hb_last.(s) <- Sim.Engine.now engine;
@@ -82,7 +90,7 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
       Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:t.hb_last.(s) ~observer:dst
         ~target:src ~on:false;
       Detector.notify t.listeners dst;
-      schedule_check dst src (Sim.Time.add t.hb_last.(s) t.hb_timeout.(s))
+      schedule_check dst s (Sim.Time.add t.hb_last.(s) t.hb_timeout.(s))
     end
   in
   let net =
@@ -95,20 +103,23 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
   for i = 0 to n - 1 do
     let rec beat () =
       if not (Net.Faults.is_crashed faults i) then begin
-        Array.iter (fun j -> Net.Network.send net ~src:i ~dst:j ()) (Cgraph.Graph.neighbors graph i);
+        (* The CSR row in place: a beat copies no neighbor array. *)
+        for s = off.(i) to off.(i + 1) - 1 do
+          Net.Network.send net ~src:i ~dst:nbr.(s) ()
+        done;
         ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:period beat)
       end
     in
     ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(Sim.Rng.int rng period) beat);
-    Array.iter
-      (fun j -> schedule_check i j (Sim.Time.add now0 initial_timeout))
-      (Cgraph.Graph.neighbors graph i)
+    for s = off.(i) to off.(i + 1) - 1 do
+      schedule_check i s (Sim.Time.add now0 initial_timeout)
+    done
   done;
   let detector =
     {
       Detector.name = "heartbeat-evp";
       suspects = (fun ~observer ~target -> suspected t (slot t observer target));
-      subscribe = (fun f -> t.listeners := f :: !(t.listeners));
+      subscribe = Detector.subscribe t.listeners;
     }
   in
   (t, detector)

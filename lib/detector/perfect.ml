@@ -9,5 +9,5 @@ let create _engine faults graph =
   {
     Detector.name = "perfect";
     suspects = (fun ~observer:_ ~target -> Net.Faults.is_crashed faults target);
-    subscribe = (fun f -> listeners := f :: !listeners);
+    subscribe = Detector.subscribe listeners;
   }

@@ -1,18 +1,22 @@
+(* Suspicion state per directed slot (observer -> target) of the
+   graph's CSR rows: a query is one binary search and two byte reads. *)
 let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(duration = 150)
     ~horizon () =
   if period <= 0 || duration <= 0 || duration >= period then
     invalid_arg "Unreliable.create: need 0 < duration < period";
   let listeners = ref [] in
-  let fp_active : (int * int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let permanent : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let set key v =
-    let cur = Option.value (Hashtbl.find_opt fp_active key) ~default:false in
-    if cur <> v then begin
-      Hashtbl.replace fp_active key v;
-      if not (Hashtbl.mem permanent key) then begin
-        Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
-          ~observer:(fst key) ~target:(snd key) ~on:v;
-        Detector.notify listeners (fst key)
+  let dirs = Cgraph.Graph.dir_count graph in
+  let fp_active = Bytes.make dirs '\000' in
+  let permanent = Bytes.make dirs '\000' in
+  let on b s = Bytes.unsafe_get b s <> '\000' in
+  let set ~observer ~target v =
+    let s = Cgraph.Graph.dir_index graph observer target in
+    if on fp_active s <> v then begin
+      Bytes.set fp_active s (if v then '\001' else '\000');
+      if not (on permanent s) then begin
+        Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine) ~observer
+          ~target ~on:v;
+        Detector.notify listeners observer
       end
     end
   in
@@ -27,11 +31,11 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
               ignore
                 (Sim.Engine.schedule engine ~owner:observer ~at:start (fun () ->
                      if not (Net.Faults.is_crashed faults observer) then
-                       set (observer, target) true));
+                       set ~observer ~target true));
               ignore
                 (Sim.Engine.schedule engine ~owner:observer
                    ~at:(Sim.Time.add start duration)
-                   (fun () -> set (observer, target) false));
+                   (fun () -> set ~observer ~target false));
               wave (Sim.Time.add start period)
             end
           in
@@ -44,10 +48,10 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
           ignore
             (Sim.Engine.schedule_after engine ~owner:neighbor ~delay:detection_delay (fun () ->
                  if not (Net.Faults.is_crashed faults neighbor) then begin
-                   let key = (neighbor, crashed) in
-                   if not (Hashtbl.mem permanent key) then begin
-                     let before = Option.value (Hashtbl.find_opt fp_active key) ~default:false in
-                     Hashtbl.add permanent key ();
+                   let s = Cgraph.Graph.dir_index graph neighbor crashed in
+                   if not (on permanent s) then begin
+                     let before = on fp_active s in
+                     Bytes.set permanent s '\001';
                      if not before then begin
                        Obs.Recorder.suspect (Sim.Engine.recorder engine)
                          ~time:(Sim.Engine.now engine) ~observer:neighbor ~target:crashed
@@ -57,11 +61,8 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
                    end
                  end)))
         (Cgraph.Graph.neighbors graph crashed));
-  {
-    Detector.name = "unreliable-forever";
-    suspects =
-      (fun ~observer ~target ->
-        Hashtbl.mem permanent (observer, target)
-        || Option.value (Hashtbl.find_opt fp_active (observer, target)) ~default:false);
-    subscribe = (fun f -> listeners := f :: !listeners);
-  }
+  let[@lint.hot] suspects ~observer ~target =
+    let s = Cgraph.Graph.dir_index_opt graph observer target in
+    s >= 0 && (on permanent s || on fp_active s)
+  in
+  { Detector.name = "unreliable-forever"; suspects; subscribe = Detector.subscribe listeners }

@@ -48,14 +48,24 @@ let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
         (fun i (name, message) ->
           let p = List.find (fun (p : Property.t) -> p.name = name) props in
           if shrink && i = 0 then (
-            let still_failing s' =
-              p.Property.check (Harness.Run.run s') <> None
+            (* The descent retries some exact scenarios (a family's
+               minimal instance after every decrement, for one), and the
+               final reproducer's message is a verdict it already has:
+               both come from this case-local cache. A hit still counts
+               as an attempt in [Shrink.minimize]. *)
+            let verdicts = Hashtbl.create 64 in
+            Hashtbl.replace verdicts s (Some message);
+            let verdict s' =
+              match Hashtbl.find_opt verdicts s' with
+              | Some v -> v
+              | None ->
+                  let v = p.Property.check (Harness.Run.run s') in
+                  Hashtbl.replace verdicts s' v;
+                  v
             in
-            let m = Shrink.minimize ~still_failing s in
+            let m = Shrink.minimize ~still_failing:(fun s' -> verdict s' <> None) s in
             let shrunk_message =
-              match p.Property.check (Harness.Run.run m.Shrink.scenario) with
-              | Some msg -> msg
-              | None -> message
+              match verdict m.Shrink.scenario with Some msg -> msg | None -> message
             in
             {
               case;

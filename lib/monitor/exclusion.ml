@@ -18,16 +18,18 @@ let attach engine graph faults (instance : Dining.Instance.t) =
       violations = [];
     }
   in
+  let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
   instance.add_listener (fun pid phase ->
       match phase with
       | Dining.Types.Eating ->
           t.eating.(pid) <- true;
-          Array.iter
-            (fun j ->
-              if t.eating.(j) && not (Net.Faults.is_crashed t.faults j) then
-                t.violations <-
-                  { time = Sim.Engine.now engine; eater = pid; neighbor = j } :: t.violations)
-            (Cgraph.Graph.neighbors graph pid)
+          (* Walk the CSR row in place: no neighbor-array copy per eat. *)
+          for s = off.(pid) to off.(pid + 1) - 1 do
+            let j = nbr.(s) in
+            if t.eating.(j) && not (Net.Faults.is_crashed t.faults j) then
+              t.violations <-
+                { time = Sim.Engine.now engine; eater = pid; neighbor = j } :: t.violations
+          done
       | Thinking | Hungry -> t.eating.(pid) <- false);
   t
 

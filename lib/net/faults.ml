@@ -5,7 +5,7 @@ type t = {
      to an earlier time cancels the superseded event, so listeners
      observe exactly one crash per pid. *)
   pending : Sim.Engine.event_id option array;
-  mutable listeners : (int -> unit) list; (* newest first; fired in subscription order *)
+  mutable listeners : (int -> unit) list; (* in subscription order *)
 }
 
 let create engine ~n =
@@ -25,7 +25,7 @@ let schedule_crash t ~pid ~at =
         (Sim.Engine.schedule t.engine ~owner:pid ~at (fun () ->
              t.pending.(pid) <- None;
              Obs.Recorder.crash (Sim.Engine.recorder t.engine) ~time:at ~pid;
-             List.iter (fun f -> f pid) (List.rev t.listeners)))
+             Obs.Recorder.call_all t.listeners pid))
   end
 
 let crash_time t pid = t.crash_at.(pid)
@@ -39,4 +39,6 @@ let crashed_by t time =
   done;
   !acc
 
-let on_crash t f = t.listeners <- f :: t.listeners
+(* Subscriptions are rare, crashes fire the list: append here so firing
+   walks it as stored. *)
+let on_crash t f = t.listeners <- t.listeners @ [ f ]

@@ -181,11 +181,13 @@ let[@lint.hot] record_send t ~src ~dst ~kind ~at =
   t.d_last_send.(s) <- at;
   let e = Cgraph.Graph.slot_edge_id t.graph s in
   edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:true;
-  match Hashtbl.find_opt t.watched dst with
-  (* Watched destinations are a rare, experiment-only probe; the cons
-     is the probe's storage and only happens for watched dsts. *)
-  | Some times -> times := (at :: !times [@lint.allow "hot-path-alloc"])
-  | None -> ()
+  (* Watched destinations are a rare, experiment-only probe: with none
+     watched, a send does not hash its destination at all. *)
+  if Hashtbl.length t.watched > 0 then
+    match Hashtbl.find_opt t.watched dst with
+    (* The cons is the probe's storage and only happens for watched dsts. *)
+    | Some times -> times := (at :: !times [@lint.allow "hot-path-alloc"])
+    | None -> ()
 
 let[@lint.hot] record_delivery t ~src ~dst ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_delivered;

@@ -56,6 +56,20 @@ let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     last_delivery = Array.make (Cgraph.Graph.dir_count graph) Sim.Time.zero;
   }
 
+let deliver t ~src ~dst msg =
+  let at = Sim.Engine.now t.engine in
+  let kind = t.kind_index msg in
+  if Faults.is_crashed t.faults dst then begin
+    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.on_drop ~src ~dst msg
+  end
+  else begin
+    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.handler ~dst ~src msg
+  end
+
 let send t ~src ~dst msg =
   let slot = Cgraph.Graph.dir_index_opt t.graph src dst in
   if slot < 0 then
@@ -70,20 +84,12 @@ let send t ~src ~dst msg =
     t.last_delivery.(slot) <- at;
     if !(t.tracing) then
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
+    (* The delivery closure is the one allocation a send makes beyond
+       the engine's event: it captures only what the send knows and the
+       delivery cannot recompute (the time is the engine's clock then,
+       the kind index a function of the message). *)
     ignore
-      (Sim.Engine.schedule t.engine ~owner:dst ~at (fun () ->
-           if Faults.is_crashed t.faults dst then begin
-             Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
-             if !(t.tracing) then
-               Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-             t.on_drop ~src ~dst msg
-           end
-           else begin
-             Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
-             if !(t.tracing) then
-               Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-             t.handler ~dst ~src msg
-           end))
+      (Sim.Engine.schedule t.engine ~owner:dst ~at (fun () -> deliver t ~src ~dst msg))
   end
 
 let stats t = t.stats

@@ -15,9 +15,9 @@
       send/deliver/drop) are high-volume and flow only under {e full}
       tracing: a collecting recorder or an {!on_record} sink.
 
-    Sinks registered with {!on_record}/{!on_light} are stored by
-    consing and reversed at fire time, so they run in subscription
-    order — O(1) per registration, and deterministic fan-out order. *)
+    Sinks registered with {!on_record}/{!on_light} are stored in
+    subscription order and run in that order — a deterministic fan-out
+    that allocates nothing per emission beyond the record itself. *)
 
 type t
 
@@ -35,6 +35,12 @@ val on_record : t -> sink -> unit
 val on_light : t -> sink -> unit
 (** Attach a sink receiving only light records; enables light tracing
     without paying for structural records. *)
+
+val call_all : ('a -> unit) list -> 'a -> unit
+(** [call_all listeners x] calls each listener on [x], in list order,
+    allocating nothing. The fan-out walk for every listener list in the
+    simulator: lists are kept in subscription order at subscribe time,
+    so emission never reverses or copies them. *)
 
 val enabled : t -> bool
 (** Whether light records currently flow. *)

@@ -27,7 +27,13 @@ let owner_of_state st = ((st lsr 2) land owner_mask) - 1
 let pack_owner owner = (owner + 1) lsl 2
 let noop () = ()
 
-type event_id = event option
+(* A handle is the event itself: returning it allocates nothing beyond
+   the record. [never] stands for an event scheduled at infinity, which
+   is not queued; both of its bits are set, so cancelling it is a no-op
+   and it is never written. *)
+type event_id = event
+
+let never = { state = cancelled_bit lor fired_bit; action = noop }
 
 type backend = [ `Heap | `Wheel ]
 
@@ -128,8 +134,10 @@ let q_add t ~prio ev =
 let q_note_dead t =
   match t.queue with Q_heap q -> Pqueue.note_dead q | Q_wheel q -> Wheel.note_dead q
 
-let q_peek_prio t =
-  match t.queue with Q_heap q -> Pqueue.peek_prio q | Q_wheel q -> Wheel.peek_prio q
+(* [max_int] (Time.infinity) when empty; with [q_pop], the per-event
+   queue traffic returns an int and the event, never an option or pair. *)
+let q_min_prio t =
+  match t.queue with Q_heap q -> Pqueue.min_prio q | Q_wheel q -> Wheel.min_prio q
 
 let q_pop t = match t.queue with Q_heap q -> Pqueue.pop q | Q_wheel q -> Wheel.pop q
 let q_size t = match t.queue with Q_heap q -> Pqueue.size q | Q_wheel q -> Wheel.size q
@@ -178,7 +186,7 @@ let stage_push t shard stg =
 
 let schedule t ?(owner = -1) ~at f =
   let owner = if owner < -1 || owner > owner_limit then -1 else owner in
-  if at = Time.infinity then None
+  if at = Time.infinity then never
   else begin
     if at < t.clock then
       invalid_arg
@@ -199,7 +207,7 @@ let schedule t ?(owner = -1) ~at f =
           Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at
       end;
       stage_push t (if ctx.shard >= 0 then ctx.shard else 0) { s_at = at; s_rank = ctx.rank; s_ev = ev };
-      Some ev
+      ev
     end
     else begin
       let ev = { state = (t.next_id lsl id_shift) lor pack_owner owner; action = f } in
@@ -209,62 +217,62 @@ let schedule t ?(owner = -1) ~at f =
          tracing is off, keeping the hot path at one load + branch. *)
       if !(t.tracing) then
         Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at;
-      Some ev
+      ev
     end
   end
 
 let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
 
-let cancel t id =
-  match id with
-  | None -> ()
-  | Some ev ->
-      (* Count each still-queued event as dead at most once; cancelling a
-         fired event must not skew the queue's husk accounting. *)
-      if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
-        ev.state <- ev.state lor cancelled_bit;
-        (* The husk stays queued until popped or compacted away; drop the
-           closure now so it doesn't pin its environment until then. *)
-        ev.action <- noop;
-        if t.in_step then begin
-          (* Deferred husk note: mid-step the event may live in a staging
-             buffer or the current batch rather than the queue, and in a
-             parallel step the queue must not be touched from worker
-             domains. Settled at the sub-round merge. *)
-          let ctx = Domain.DLS.get t.ctx_key in
-          let sh = if ctx.shard >= 0 then ctx.shard else 0 in
-          t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
-        end
-        else q_note_dead t;
-        if !(t.tracing) then
-          Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
-      end
+let cancel t ev =
+  (* Count each still-queued event as dead at most once; cancelling a
+     fired event must not skew the queue's husk accounting. *)
+  if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
+    ev.state <- ev.state lor cancelled_bit;
+    (* The husk stays queued until popped or compacted away; drop the
+       closure now so it doesn't pin its environment until then. *)
+    ev.action <- noop;
+    if t.in_step then begin
+      (* Deferred husk note: mid-step the event may live in a staging
+         buffer or the current batch rather than the queue, and in a
+         parallel step the queue must not be touched from worker
+         domains. Settled at the sub-round merge. *)
+      let ctx = Domain.DLS.get t.ctx_key in
+      let sh = if ctx.shard >= 0 then ctx.shard else 0 in
+      t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
+    end
+    else q_note_dead t;
+    if !(t.tracing) then
+      Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
+  end
+
+(* Fire one popped event: mark it fired, and unless it was cancelled,
+   advance the clock and run its action. Shared by the fire loop and the
+   staged sequential batch. *)
+let[@lint.hot] fire_event_seq t at ev =
+  let st = ev.state in
+  ev.state <- st lor fired_bit;
+  if st land cancelled_bit = 0 then begin
+    t.clock <- at;
+    t.processed <- t.processed + 1;
+    if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
+    let action = ev.action in
+    (* Release the closure before running it: the caller may hold the
+       event_id long after the event fires. *)
+    ev.action <- noop;
+    action ()
+  end
 
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping
    it allocation-free means the only heap traffic per fired event is
-   whatever the action itself does (plus the queue's own pop result). *)
+   whatever the action itself does. [at < Time.infinity] is the
+   non-empty test: the queue answers [max_int] when it has nothing. *)
 let[@lint.hot] rec fire_loop t ~until =
-  match q_peek_prio t with
-  | None -> ()
-  | Some at when at > until -> ()
-  | Some _ -> (
-      match q_pop t with
-      | None -> ()
-      | Some (at, ev) ->
-          let st = ev.state in
-          ev.state <- st lor fired_bit;
-          if st land cancelled_bit = 0 then begin
-            t.clock <- at;
-            t.processed <- t.processed + 1;
-            if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-            let action = ev.action in
-            (* Release the closure before running it: the caller may
-               hold the event_id long after the event fires. *)
-            ev.action <- noop;
-            action ()
-          end;
-          fire_loop t ~until)
+  let at = q_min_prio t in
+  if at <= until && at < Time.infinity then begin
+    fire_event_seq t at (q_pop t);
+    fire_loop t ~until
+  end
 
 (* ---- Sharded stepping ------------------------------------------------ *)
 
@@ -276,18 +284,6 @@ let batch_push t ev =
   end;
   t.batch_ev.(t.batch_len) <- ev;
   t.batch_len <- t.batch_len + 1
-
-let[@lint.hot] fire_event_seq t at ev =
-  let st = ev.state in
-  ev.state <- st lor fired_bit;
-  if st land cancelled_bit = 0 then begin
-    t.clock <- at;
-    t.processed <- t.processed + 1;
-    if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-    let action = ev.action in
-    ev.action <- noop;
-    action ()
-  end
 
 (* Sequential staged fire: pop order, exactly the order the legacy loop
    would have fired — shard labels only route staging buffers. *)
@@ -360,8 +356,7 @@ let fire_batch_par t tick pool =
     t.shard_fired.(sh) <- 0
   done
 
-let dummy_staged =
-  { s_at = 0; s_rank = 0; s_ev = { state = cancelled_bit lor fired_bit; action = noop } }
+let dummy_staged = { s_at = 0; s_rank = 0; s_ev = never }
 
 (* Merge one sub-round's staged effects back into the step: schedules in
    canonical order (same-tick ones refill the batch for the next
@@ -409,41 +404,32 @@ let merge_subround t tick =
    byte-identical traces to shards = 0. *)
 let staged_loop t ~until =
   let rec step () =
-    match q_peek_prio t with
-    | None -> ()
-    | Some at when at > until -> ()
-    | Some tick ->
-        t.batch_len <- 0;
-        let rec drain () =
-          match q_peek_prio t with
-          | Some p when p = tick -> (
-              match q_pop t with
-              | Some (_, ev) ->
-                  batch_push t ev;
-                  drain ()
-              | None -> ())
-          | _ -> ()
-        in
-        drain ();
-        t.in_step <- true;
-        t.par_step <-
-          t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
-        t.base_rank <- 0;
-        let rec subround () =
-          if t.batch_len > 0 then begin
-            let len = t.batch_len in
-            (match t.pool with
-            | Some pool when t.par_step -> fire_batch_par t tick pool
-            | _ -> fire_batch_seq t tick);
-            t.base_rank <- t.base_rank + len;
-            t.batch_len <- 0;
-            merge_subround t tick;
-            subround ()
-          end
-        in
-        subround ();
-        t.in_step <- false;
-        step ()
+    let tick = q_min_prio t in
+    if tick <= until && tick < Time.infinity then begin
+      t.batch_len <- 0;
+      while q_min_prio t = tick do
+        batch_push t (q_pop t)
+      done;
+      t.in_step <- true;
+      t.par_step <-
+        t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
+      t.base_rank <- 0;
+      let rec subround () =
+        if t.batch_len > 0 then begin
+          let len = t.batch_len in
+          (match t.pool with
+          | Some pool when t.par_step -> fire_batch_par t tick pool
+          | _ -> fire_batch_seq t tick);
+          t.base_rank <- t.base_rank + len;
+          t.batch_len <- 0;
+          merge_subround t tick;
+          subround ()
+        end
+      in
+      subround ();
+      t.in_step <- false;
+      step ()
+    end
   in
   step ()
 

@@ -86,22 +86,20 @@ let sift_down t =
     else continue := false
   done
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t
-    end;
-    (match t.dead with
-    | Some is_dead when is_dead top.value -> t.dead_count <- max 0 (t.dead_count - 1)
-    | _ -> ());
-    Some (top.prio, top.value)
-  end
+let[@lint.hot] pop t =
+  if t.size = 0 then invalid_arg "Pqueue.pop: empty queue";
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t
+  end;
+  (match t.dead with
+  | Some is_dead when is_dead top.value -> t.dead_count <- max 0 (t.dead_count - 1)
+  | _ -> ());
+  top.value
 
-let peek_prio t = if t.size = 0 then None else Some t.heap.(0).prio
+let min_prio t = if t.size = 0 then max_int else t.heap.(0).prio
 let size t = t.size
 let is_empty t = t.size = 0
 

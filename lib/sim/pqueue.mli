@@ -35,13 +35,17 @@ val compact : 'a t -> unit
 (** Force a rebuild dropping dead entries now. No-op without a [dead]
     predicate. O(n log n). *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum entry, FIFO among equal priorities.
-    O(log n). Dead entries are returned like any other (the caller skips
-    them); popping one decrements the dead-entry count. *)
+val min_prio : 'a t -> int
+(** Priority of the minimum entry, or [max_int] ([Time.infinity]) when
+    the heap is empty. O(1), allocation-free. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the minimum entry without removing it. *)
+val pop : 'a t -> 'a
+(** Remove the minimum entry, FIFO among equal priorities, and return
+    its value (its priority is what {!min_prio} answered just before).
+    O(log n), allocation-free. Dead entries are returned like any other
+    (the caller skips them); popping one decrements the dead-entry
+    count.
+    @raise Invalid_argument on an empty heap. *)
 
 val size : 'a t -> int
 (** Entries currently in the heap, including dead husks not yet

@@ -33,13 +33,19 @@ module type S = sig
   (** Force a rebuild dropping dead entries now. No-op without a [dead]
       predicate. *)
 
-  val pop : 'a t -> (int * 'a) option
-  (** Remove and return the minimum entry, FIFO among equal priorities.
-      Dead entries are returned like any other (the caller skips them);
-      popping one decrements the dead-entry count. *)
+  val min_prio : 'a t -> int
+  (** Priority of the minimum entry, or [max_int] ([Time.infinity]) when
+      the queue is empty — never a queued priority, since {!add} rejects
+      it. Allocation-free. *)
 
-  val peek_prio : 'a t -> int option
-  (** Priority of the minimum entry without removing it. *)
+  val pop : 'a t -> 'a
+  (** Remove the minimum entry, FIFO among equal priorities, and return
+      its value; its priority is what {!min_prio} answered just before.
+      Allocation-free: together with {!min_prio} this replaces an
+      option-of-pair result on the engine's per-event path. Dead entries
+      are returned like any other (the caller skips them); popping one
+      decrements the dead-entry count.
+      @raise Invalid_argument on an empty queue. *)
 
   val size : 'a t -> int
   (** Entries currently queued, including dead husks not yet reclaimed

@@ -11,10 +11,17 @@
 
    - at each level, occupied slots sit at or above the floor's byte for
      that level, so a forward bitmap scan finds the frontier;
-   - all entries for one tick are always co-located, so draining one
-     level-0 slot and sorting it by (prio, seq) yields exactly the
-     global FIFO order for that tick, even though insertion happened
-     across different floor epochs.
+   - all entries for one tick are always co-located: a level-0 slot
+     holds exactly one tick.
+
+   Every slot list is also kept newest first (descending seq). [add]
+   prepends the newest entry; a cascade only runs when every lower
+   level is empty (the frontier search scans lowest level first), and
+   it re-files the detached list oldest first, so each target slot
+   again ends newest first; compaction unlinks without reordering.
+   Draining one level-0 slot back to front therefore yields exactly the
+   global FIFO order for that tick, with no sort, even though insertion
+   happened across different floor epochs.
 
    Same-tick FIFO order among equal priorities therefore matches
    {!Pqueue} exactly; the dead-husk accounting and compaction threshold
@@ -23,7 +30,11 @@
    add/cancel/pop. The differential tests in test/test_sim.ml hold both
    implementations to that. *)
 
-type 'a entry = { prio : int; seq : int; value : 'a }
+(* A queued entry is also the cell of its slot's list: [next] links the
+   entries filed in one slot, so filing, cascading and draining relink
+   an entry in place, and queuing one allocates only its node. [Nil]
+   ends a list and fills unused buffer cells. *)
+type 'a node = Nil | Node of { prio : int; seq : int; value : 'a; mutable next : 'a node }
 
 let levels = 8
 let slot_bits = 8
@@ -37,11 +48,12 @@ let compaction_floor = 16
 
 type 'a t = {
   mutable floor : int; (* last popped tick; no queued entry is below it *)
-  slots : 'a entry list array; (* levels * 256, index = (level lsl 8) lor slot *)
+  slots : 'a node array; (* levels * 256 list heads, index = (level lsl 8) lor slot *)
   bitmap : int array; (* levels * 8 words, 32 occupancy bits per word *)
-  (* Entries for the tick currently being fired, in FIFO order;
-     active iff buf_head < buf_len. *)
-  mutable buf : 'a entry array;
+  (* Entries for the tick currently being fired, in FIFO order; active
+     iff buf_head < buf_len. The array keeps its capacity across ticks,
+     and consumed cells are reset to [Nil]. *)
+  mutable buf : 'a node array;
   mutable buf_head : int;
   mutable buf_len : int;
   mutable current_tick : int; (* tick of the buffered entries *)
@@ -55,7 +67,7 @@ type 'a t = {
 let create ?dead () =
   {
     floor = 0;
-    slots = Array.make (levels * slots_per_level) [];
+    slots = Array.make (levels * slots_per_level) Nil;
     bitmap = Array.make (levels * words_per_level) 0;
     buf = [||];
     buf_head = 0;
@@ -67,6 +79,15 @@ let create ?dead () =
     dead;
     dead_count = 0;
   }
+
+let prio_of = function Node n -> n.prio | Nil -> max_int
+let set_next nd nx = match nd with Node n -> n.next <- nx | Nil -> ()
+
+let value_of = function
+  | Node n -> n.value
+  | Nil -> invalid_arg "Wheel: corrupt structure (empty buffer cell)"
+
+let is_dead_node is_dead = function Node n -> is_dead n.value | Nil -> false
 
 let set_bit t l s =
   let w = (l * words_per_level) + (s lsr 5) in
@@ -102,56 +123,70 @@ let ctz32 x =
    inclusive of [from]: mid-cascade the floor is a window start whose
    own slot may legitimately hold entries (ticks equal to the window
    start); in externally visible states the floor is a fired tick and
-   its slots are empty, so inclusivity is harmless there. *)
-let next_slot t l from =
-  let base = l * words_per_level in
-  let w0 = from lsr 5 in
-  let rec go w =
-    if w >= words_per_level then -1
-    else begin
-      let word = t.bitmap.(base + w) in
-      let word = if w = w0 then word land lnot ((1 lsl (from land 31)) - 1) else word in
-      if word = 0 then go (w + 1) else (w lsl 5) lor ctz32 word
-    end
-  in
-  go w0
+   its slots are empty, so inclusivity is harmless there. Runs on every
+   frontier search, so the word scan is a toplevel recursion with its
+   bounds as arguments: a local recursive function capturing them would
+   allocate a closure per call. *)
+let[@lint.hot] rec scan_words t base w word =
+  if word <> 0 then (w lsl 5) lor ctz32 word
+  else if w >= words_per_level - 1 then -1
+  else scan_words t base (w + 1) t.bitmap.(base + w + 1)
+
+let[@lint.hot] next_slot t l from =
+  let base = l * words_per_level and w = from lsr 5 in
+  scan_words t base w (t.bitmap.(base + w) land lnot ((1 lsl (from land 31)) - 1))
 
 let level_of x =
   let rec go l x = if x < slots_per_level then l else go (l + 1) (x lsr slot_bits) in
   go 0 x
 
-let[@lint.hot] wheel_insert t e =
-  let l = level_of (e.prio lxor t.floor) in
-  let s = (e.prio lsr (l * slot_bits)) land slot_mask in
+(* File a node at the head of its canonical slot's list. *)
+let[@lint.hot] wheel_insert t nd =
+  let prio = prio_of nd in
+  let l = level_of (prio lxor t.floor) in
+  let s = (prio lsr (l * slot_bits)) land slot_mask in
   let idx = (l lsl slot_bits) lor s in
-  (match t.slots.(idx) with [] -> set_bit t l s | _ -> ());
-  (* Slots are intrusive-free lists by design: one cons per insert is
-     the structure's storage, not incidental garbage. *)
-  t.slots.(idx) <- (e :: t.slots.(idx) [@lint.allow "hot-path-alloc"])
+  let head = t.slots.(idx) in
+  (match head with Nil -> set_bit t l s | Node _ -> ());
+  set_next nd head;
+  t.slots.(idx) <- nd
 
-(* Cascade re-inserts a drained slot's entries; a toplevel recursion
-   instead of List.iter keeps the cascade path closure-free. *)
-let[@lint.hot] rec reinsert t es =
-  match es with
-  | [] -> ()
-  | e :: tl ->
-      wheel_insert t e;
-      reinsert t tl
+(* Reverse a detached list in place, relinking its nodes. *)
+let[@lint.hot] rec rev_onto acc nd =
+  match nd with
+  | Nil -> acc
+  | Node n ->
+      let rest = n.next in
+      n.next <- acc;
+      rev_onto nd rest
+
+(* Cascade re-files a detached list's nodes in the order given; a
+   toplevel recursion keeps the cascade path closure-free, and relinking
+   allocates nothing. *)
+let[@lint.hot] rec reinsert t nd =
+  match nd with
+  | Nil -> ()
+  | Node n ->
+      let rest = n.next in
+      wheel_insert t nd;
+      reinsert t rest
 
 let buf_active t = t.buf_head < t.buf_len
 
 let buf_reset t =
-  t.buf <- [||];
   t.buf_head <- 0;
   t.buf_len <- 0
 
-let buf_append t e =
-  if t.buf_len >= Array.length t.buf then begin
-    let nbuf = Array.make (max 4 (2 * Array.length t.buf)) e in
+let buf_reserve t cap =
+  if cap > Array.length t.buf then begin
+    let nbuf = Array.make (max cap (max 4 (2 * Array.length t.buf))) Nil in
     Array.blit t.buf 0 nbuf 0 t.buf_len;
     t.buf <- nbuf
-  end;
-  t.buf.(t.buf_len) <- e;
+  end
+
+let buf_append t nd =
+  buf_reserve t (t.buf_len + 1);
+  t.buf.(t.buf_len) <- nd;
   t.buf_len <- t.buf_len + 1
 
 let add t ~prio value =
@@ -165,44 +200,45 @@ let add t ~prio value =
   if prio < t.floor then
     invalid_arg
       (Printf.sprintf "Wheel.add: prio=%d is below the last popped tick (%d)" prio t.floor);
-  let e = { prio; seq = t.next_seq; value } in
+  let nd = Node { prio; seq = t.next_seq; value; next = Nil } in
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  if buf_active t && prio = t.current_tick then buf_append t e
+  if buf_active t && prio = t.current_tick then buf_append t nd
   else if (not (buf_active t)) && prio = t.floor then begin
     t.current_tick <- t.floor;
-    buf_append t e
+    buf_append t nd
   end
   else begin
-    wheel_insert t e;
+    wheel_insert t nd;
     if t.cached_min >= 0 && prio < t.cached_min then t.cached_min <- prio
   end
 
-let entry_compare a b = if a.prio <> b.prio then compare a.prio b.prio else compare a.seq b.seq
+let rec list_length acc = function Nil -> acc | Node n -> list_length (acc + 1) n.next
+
+(* Lay a detached level-0 list into the buffer back to front: the list
+   is newest first, so the buffer comes out in FIFO order. *)
+let rec fill_buf arr tick i nd =
+  match nd with
+  | Nil -> ()
+  | Node n ->
+      if n.prio <> tick then invalid_arg "Wheel: corrupt structure (two ticks in one slot)";
+      let rest = n.next in
+      n.next <- Nil;
+      arr.(i) <- nd;
+      fill_buf arr tick (i - 1) rest
 
 (* Move the frontier level-0 slot into the FIFO buffer. *)
 let drain_slot t s =
-  let entries = t.slots.(s) in
-  t.slots.(s) <- [];
+  let head = t.slots.(s) in
+  t.slots.(s) <- Nil;
   clear_bit t 0 s;
   t.cached_min <- -1;
-  let arr = Array.of_list entries in
-  Array.sort entry_compare arr;
-  let tick = arr.(0).prio in
-  let n = Array.length arr in
-  let k = ref 1 in
-  while !k < n && arr.(!k).prio = tick do incr k done;
-  if !k < n then begin
-    (* Defensive: canonical placement keeps one tick per level-0 slot,
-       but if later ticks ever cohabit, hand them back to the wheel. *)
-    for i = !k to n - 1 do
-      wheel_insert t arr.(i)
-    done;
-    t.buf <- Array.sub arr 0 !k
-  end
-  else t.buf <- arr;
+  let n = list_length 0 head in
+  let tick = prio_of head in
+  buf_reserve t n;
+  fill_buf t.buf tick (n - 1) head;
   t.buf_head <- 0;
-  t.buf_len <- !k;
+  t.buf_len <- n;
   t.current_tick <- tick
 
 (* Distribute a level-l slot into lower levels. Re-anchoring the floor
@@ -214,33 +250,33 @@ let drain_slot t s =
    externally only after [pop] restores it to a fired tick. *)
 let[@lint.hot] cascade t l s =
   let idx = (l lsl slot_bits) lor s in
-  let entries = t.slots.(idx) in
-  t.slots.(idx) <- [];
+  let head = t.slots.(idx) in
+  t.slots.(idx) <- Nil;
   clear_bit t l s;
   let above =
     if (l + 1) * slot_bits >= Sys.int_size - 1 then 0
     else t.floor land lnot ((1 lsl ((l + 1) * slot_bits)) - 1)
   in
   t.floor <- above lor (s lsl (l * slot_bits));
-  reinsert t entries
+  reinsert t (rev_onto Nil head)
 
 (* Find the frontier slot: levels are scanned lowest first because a
    level-l entry shares all bytes above l with the floor, so anything at
    a lower level is earlier. Within a level the first occupied slot at
-   or after the floor's byte is earliest. *)
-let frontier t =
-  let rec find l =
-    if l >= levels then invalid_arg "Wheel: corrupt structure (size > 0 but no occupied slot)"
-    else begin
-      let cursor = (t.floor lsr (l * slot_bits)) land slot_mask in
-      let s = next_slot t l cursor in
-      if s < 0 then find (l + 1) else (l, s)
-    end
-  in
-  find 0
+   or after the floor's byte is earliest. Returned as the slot's flat
+   index [(level lsl 8) lor slot], so finding it allocates no pair. *)
+let[@lint.hot] rec frontier_from t l =
+  if l >= levels then invalid_arg "Wheel: corrupt structure (size > 0 but no occupied slot)"
+  else begin
+    let s = next_slot t l ((t.floor lsr (l * slot_bits)) land slot_mask) in
+    if s >= 0 then (l lsl slot_bits) lor s else frontier_from t (l + 1)
+  end
+
+let frontier t = frontier_from t 0
 
 let rec advance t =
-  let l, s = frontier t in
+  let idx = frontier t in
+  let l = idx lsr slot_bits and s = idx land slot_mask in
   if l = 0 then drain_slot t s
   else begin
     cascade t l s;
@@ -248,39 +284,62 @@ let rec advance t =
   end
 
 (* Min priority over wheel slots without mutating; the frontier slot at
-   a level >= 1 spans a range of ticks, hence the fold. *)
-let find_min t =
-  let l, s = frontier t in
-  List.fold_left
-    (fun acc e -> if e.prio < acc then e.prio else acc)
-    max_int
-    t.slots.((l lsl slot_bits) lor s)
+   a level >= 1 spans a range of ticks, hence the walk. *)
+let rec list_min acc = function
+  | Nil -> acc
+  | Node n -> list_min (if n.prio < acc then n.prio else acc) n.next
 
-let peek_prio t =
-  if buf_active t then Some t.current_tick
-  else if t.size = 0 then None
+let find_min t = list_min max_int t.slots.(frontier t)
+
+let min_prio t =
+  if buf_active t then t.current_tick
+  else if t.size = 0 then max_int
   else begin
     if t.cached_min < 0 then t.cached_min <- find_min t;
-    Some t.cached_min
+    t.cached_min
   end
 
-let rec pop t =
+let[@lint.hot] rec pop t =
   if buf_active t then begin
-    let e = t.buf.(t.buf_head) in
+    let nd = t.buf.(t.buf_head) in
+    t.buf.(t.buf_head) <- Nil;
     t.buf_head <- t.buf_head + 1;
     if t.buf_head = t.buf_len then buf_reset t;
     t.floor <- t.current_tick;
     t.size <- t.size - 1;
+    let value = value_of nd in
     (match t.dead with
-    | Some is_dead when is_dead e.value -> t.dead_count <- max 0 (t.dead_count - 1)
+    | Some is_dead when is_dead value -> t.dead_count <- max 0 (t.dead_count - 1)
     | _ -> ());
-    Some (e.prio, e.value)
+    value
   end
-  else if t.size = 0 then None
+  else if t.size = 0 then invalid_arg "Wheel.pop: empty queue"
   else begin
     advance t;
     pop t
   end
+
+(* Unlink dead nodes from a list, keeping the survivors' order; returns
+   the new head and adds the survivors to [live]. Tail-recursive: one
+   slot may hold a large share of the queue. *)
+let rec first_live is_dead nd =
+  match nd with
+  | Nil -> Nil
+  | Node n -> if is_dead n.value then first_live is_dead n.next else nd
+
+let rec link_live is_dead live kept =
+  match kept with
+  | Nil -> ()
+  | Node n ->
+      incr live;
+      let nx = first_live is_dead n.next in
+      n.next <- nx;
+      link_live is_dead live nx
+
+let filter_live is_dead live head =
+  let head = first_live is_dead head in
+  link_live is_dead live head;
+  head
 
 let compact t =
   match t.dead with
@@ -289,29 +348,27 @@ let compact t =
       let live = ref 0 in
       for idx = 0 to (levels * slots_per_level) - 1 do
         match t.slots.(idx) with
-        | [] -> ()
-        | entries ->
-            let kept = List.filter (fun e -> not (is_dead e.value)) entries in
+        | Nil -> ()
+        | head ->
+            let kept = filter_live is_dead live head in
             t.slots.(idx) <- kept;
             (match kept with
-            | [] -> clear_bit t (idx lsr slot_bits) (idx land slot_mask)
-            | _ -> ());
-            live := !live + List.length kept
+            | Nil -> clear_bit t (idx lsr slot_bits) (idx land slot_mask)
+            | Node _ -> ())
       done;
       if buf_active t then begin
-        let kept = ref [] in
-        for i = t.buf_len - 1 downto t.buf_head do
-          let e = t.buf.(i) in
-          if not (is_dead e.value) then kept := e :: !kept
+        let j = ref 0 in
+        for i = t.buf_head to t.buf_len - 1 do
+          let nd = t.buf.(i) in
+          t.buf.(i) <- Nil;
+          if not (is_dead_node is_dead nd) then begin
+            t.buf.(!j) <- nd;
+            incr j
+          end
         done;
-        match !kept with
-        | [] -> buf_reset t
-        | es ->
-            let arr = Array.of_list es in
-            t.buf <- arr;
-            t.buf_head <- 0;
-            t.buf_len <- Array.length arr;
-            live := !live + Array.length arr
+        t.buf_head <- 0;
+        t.buf_len <- !j;
+        live := !live + !j
       end;
       t.size <- !live;
       t.dead_count <- 0;
@@ -326,8 +383,9 @@ let is_empty t = t.size = 0
 let floor t = t.floor
 
 let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) [];
+  Array.fill t.slots 0 (Array.length t.slots) Nil;
   Array.fill t.bitmap 0 (Array.length t.bitmap) 0;
+  t.buf <- [||];
   buf_reset t;
   t.floor <- 0;
   t.current_tick <- 0;

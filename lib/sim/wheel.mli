@@ -41,14 +41,17 @@ val compact : 'a t -> unit
 (** Force a sweep dropping dead entries now. No-op without a [dead]
     predicate. O(n + slots). *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum entry, FIFO among equal priorities.
-    Amortised O(1). Dead entries are returned like any other (the
-    caller skips them); popping one decrements the dead-entry count. *)
+val min_prio : 'a t -> int
+(** Priority of the minimum entry, or [max_int] ([Time.infinity]) when
+    the wheel is empty. Does not advance the wheel; allocation-free
+    except when a cascaded slot's minimum must be recomputed. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the minimum entry without removing it. Does not
-    advance the wheel. *)
+val pop : 'a t -> 'a
+(** Remove the minimum entry, FIFO among equal priorities, and return
+    its value (its priority is what {!min_prio} answered just before).
+    Amortised O(1). Dead entries are returned like any other (the
+    caller skips them); popping one decrements the dead-entry count.
+    @raise Invalid_argument on an empty wheel. *)
 
 val size : 'a t -> int
 (** Entries currently queued, including dead husks not yet reclaimed

@@ -260,9 +260,51 @@ let unreliable_validates () =
         (Fd.Unreliable.create engine faults graph (Sim.Rng.create 1L) ~period:10 ~duration:10
            ~horizon:100 ()))
 
+(* ---------------------------- Allocation --------------------------- *)
+
+(* A suspicion query is a slot lookup and a read of per-slot state: no
+   tuple key, no hashing, no allocation, for neighbors and non-neighbors
+   alike, with windows open and closed. *)
+let suspects_allocate_nothing () =
+  let engine = Sim.Engine.create () in
+  let graph = ring 6 in
+  let faults = Net.Faults.create engine ~n:6 in
+  let _, oracle =
+    Fd.Oracle.create engine faults graph
+      ~false_positives:[ { Fd.Oracle.observer = 0; target = 1; from_t = 10; till_t = 500 } ]
+      ()
+  in
+  let unreliable =
+    Fd.Unreliable.create engine faults graph (Sim.Rng.create 3L) ~period:100 ~duration:40
+      ~horizon:1_000 ()
+  in
+  Net.Faults.schedule_crash faults ~pid:3 ~at:20;
+  Sim.Engine.run engine ~until:200;
+  List.iter
+    (fun (d : Fd.Detector.t) ->
+      let hits = ref 0 in
+      let query () =
+        for i = 0 to 5 do
+          if d.suspects ~observer:i ~target:((i + 1) mod 6) then incr hits;
+          if d.suspects ~observer:i ~target:((i + 5) mod 6) then incr hits;
+          if d.suspects ~observer:i ~target:((i + 3) mod 6) then incr hits
+        done
+      in
+      query ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        query ()
+      done;
+      check (Alcotest.float 0.) (d.name ^ ": suspects allocates nothing") 0.
+        (Gc.minor_words () -. w0);
+      check bool (d.name ^ ": some suspicion is on") true (!hits > 0))
+    [ oracle; unreliable ]
+
 let suite =
   [
     Alcotest.test_case "never: constant output" `Quick never_suspects_nothing;
+    Alcotest.test_case "oracle, unreliable: suspects allocates nothing" `Quick
+      suspects_allocate_nothing;
     Alcotest.test_case "unreliable: accuracy violated forever" `Quick unreliable_keeps_lying;
     Alcotest.test_case "unreliable: completeness retained" `Quick unreliable_still_complete;
     Alcotest.test_case "unreliable: parameter validation" `Quick unreliable_validates;

@@ -216,6 +216,111 @@ let phases_real_algorithm () =
       check bool "doorway took the ping round trip" true (d >= 10)
   | _ -> Alcotest.fail "expected exactly one completed session"
 
+(* ------------------------ Recorded accessors ------------------------ *)
+
+(* Every list and summary the monitors report, serialised. The monitors
+   keep per-pid and per-slot arrays and flat int logs; the accessors
+   rebuild the lists at report time, and must rebuild exactly the lists
+   the earlier record-list monitors returned. *)
+let fingerprint (r : Harness.Run.report) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter (fun (s : Monitor.Response.session) -> add "c%d,%d,%d;" s.pid s.started s.served)
+    (Monitor.Response.completed r.response);
+  List.iter (add "d%d;") (Monitor.Response.durations r.response);
+  add "s%s;" (Format.asprintf "%a" Stats.Summary.pp (Monitor.Response.summary r.response));
+  List.iter (fun (p, t) -> add "o%d,%d;" p t) (Monitor.Response.open_sessions r.response);
+  List.iter (fun (x, y) -> add "r%h,%h;" x y) (Monitor.Response.response_series r.response ~bucket:1000);
+  List.iter
+    (fun (o : Monitor.Fairness.overtake) ->
+      add "v%d,%d,%d,%d,%d;" o.time o.overtaker o.victim o.session_start o.count)
+    (Monitor.Fairness.overtakes r.fairness);
+  add "m%d,%d,%d,%d;" (Monitor.Fairness.max_consecutive r.fairness)
+    (Monitor.Fairness.max_consecutive_for_sessions_from r.fairness (r.horizon / 3))
+    (Monitor.Fairness.max_consecutive_after r.fairness (r.horizon / 3))
+    (Monitor.Fairness.max_consecutive_after r.fairness 0);
+  List.iter (fun (x, y) -> add "w%h,%h;" x y)
+    (Monitor.Fairness.windowed_max r.fairness ~window:2000 ~horizon:r.horizon);
+  List.iter (add "p%d;") (Monitor.Phases.doorway_waits r.phases);
+  List.iter (add "f%d;") (Monitor.Phases.fork_waits r.phases);
+  add "ps%s;" (Format.asprintf "%a" Stats.Summary.pp (Monitor.Phases.doorway_summary r.phases));
+  add "fs%s;" (Format.asprintf "%a" Stats.Summary.pp (Monitor.Phases.fork_summary r.phases));
+  List.iter
+    (fun (v : Monitor.Exclusion.violation) -> add "x%d,%d,%d;" v.time v.eater v.neighbor)
+    (Monitor.Exclusion.violations r.exclusion);
+  Buffer.contents b
+
+
+(* Scenarios with doorway waits, exclusion violations (an unreliable
+   detector) and a baseline without a doorway, each with the counts and
+   the fingerprint digest the record-list monitors produced on it:
+   completed sessions, overtakes, doorway waits, exclusion violations. *)
+let recorded =
+  [
+    ( { Harness.Scenario.default with
+        topology = Cgraph.Topology.Grid (3, 3); seed = 21L;
+        workload = Harness.Scenario.contended_workload; horizon = 20_000 },
+      (1857, 4577, 1858, 19), "632a4e6384bf3d771be2c8a96b98ed05" );
+    ( { Harness.Scenario.default with
+        topology = Cgraph.Topology.Ring 6; seed = 5L;
+        detector = Harness.Scenario.Unreliable { period = 900; duration = 120 };
+        workload = Harness.Scenario.contended_workload; horizon = 20_000 },
+      (1488, 2245, 1489, 220), "d741bf078d698549d268049fdff015e1" );
+    ( { Harness.Scenario.default with
+        topology = Cgraph.Topology.Clique 4; seed = 8L; algo = Harness.Scenario.Fork_only;
+        detector = Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 };
+        workload = Harness.Scenario.contended_workload; horizon = 15_000 },
+      (502, 1341, 0, 0), "c87d2d958d7507038c568c79bb3ea704" );
+  ]
+
+let accessors_match_recorded () =
+  List.iter
+    (fun (s, (sessions, overtakes, doorways, violations), digest) ->
+      let r = Harness.Run.run s in
+      let counts =
+        ( List.length (Monitor.Response.completed r.response),
+          List.length (Monitor.Fairness.overtakes r.fairness),
+          List.length (Monitor.Phases.doorway_waits r.phases),
+          Monitor.Exclusion.count r.exclusion )
+      in
+      let quad = Alcotest.(pair (pair int int) (pair int int)) in
+      let split (a, b, c, d) = ((a, b), (c, d)) in
+      check quad "counts" (split (sessions, overtakes, doorways, violations)) (split counts);
+      check Alcotest.string "fingerprint" digest (Digest.to_hex (Digest.string (fingerprint r))))
+    recorded
+
+(* The one-pass suffix count agrees with the sort-based reference on
+   real overtake logs, at arbitrary cutoffs, over algorithms that do and
+   do not bound overtaking. *)
+let max_consecutive_after_matches_reference =
+  QCheck.Test.make ~name:"fairness: suffix count matches the sort-based reference" ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_bound 3) (list_of_size Gen.(int_range 1 6) (int_bound 12_000)))
+    (fun (seed, algo, cutoffs) ->
+      let algo =
+        match algo with
+        | 0 -> Harness.Scenario.Song_pike
+        | 1 -> Harness.Scenario.Fork_only
+        | 2 -> Harness.Scenario.Chandy_misra
+        | _ -> Harness.Scenario.Ordered
+      in
+      let s =
+        {
+          Harness.Scenario.default with
+          topology = Cgraph.Topology.Grid (2, 3);
+          seed = Int64.of_int seed;
+          algo;
+          workload = Harness.Scenario.contended_workload;
+          horizon = 12_000;
+        }
+      in
+      let fair = (Harness.Run.run s).fairness in
+      let log = Monitor.Fairness.overtakes fair in
+      List.for_all
+        (fun cutoff ->
+          Monitor.Fairness.max_consecutive_after fair cutoff
+          = Fairness_reference.max_consecutive_after log cutoff)
+        (0 :: cutoffs))
+
 let suite =
   [
     Alcotest.test_case "exclusion: detects overlapping neighbors" `Quick exclusion_detects_overlap;
@@ -230,4 +335,6 @@ let suite =
     Alcotest.test_case "response: starvation threshold" `Quick response_starvation_threshold;
     Alcotest.test_case "response: crashed processes not starved" `Quick response_crashed_not_starved;
     Alcotest.test_case "response: bucketed series" `Quick response_series_buckets;
+    Alcotest.test_case "accessors: equal the recorded lists" `Quick accessors_match_recorded;
+    QCheck_alcotest.to_alcotest max_consecutive_after_matches_reference;
   ]

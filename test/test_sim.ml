@@ -99,35 +99,112 @@ let rng_exponential_positive () =
     check bool "exponential >= 0" true (Sim.Rng.exponential rng ~mean:10.0 >= 0.0)
   done
 
+(* Minor-heap words [f] allocates per call, over [n] calls after a
+   warm-up (the measurement itself allocates nothing). *)
+let words_per_call n f =
+  for _ = 1 to 16 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The generator keeps its state unboxed, so an int draw allocates
+   nothing. A float draw's only allocation is its returned float, boxed
+   when the call crosses a module boundary without being inlined (as
+   under dune's -opaque dev profile); an inlining build drops it. *)
+let rng_draws_allocate_nothing () =
+  let r = Sim.Rng.create 5L in
+  let acc = ref 0 in
+  let per name f = words_per_call 10_000 f |> check (Alcotest.float 0.) name 0. in
+  per "int draw" (fun () -> acc := !acc + Sim.Rng.int r 1000);
+  per "int_in draw" (fun () -> acc := !acc + Sim.Rng.int_in r 1 8);
+  per "bool draw" (fun () -> if Sim.Rng.bool r then incr acc);
+  let float_words = words_per_call 10_000 (fun () -> if Sim.Rng.float r < 0.5 then incr acc) in
+  check bool "float draw: at most the boxed result" true (float_words <= 2.);
+  ignore (Sys.opaque_identity !acc)
+
+(* The stream is pinned: the first 64 outputs for three seeds, through
+   every derivation, hash to recorded values (taken from the boxed-state
+   implementation, so any drift in the splitmix stream, and with it every
+   seeded run, fails here). Columns: seed, first bits64 output,
+   then MD5s of 64 bits64 outputs, 64 [int_in 1 1000] draws, 64 floats
+   (printed with %h), 64 outputs of [split_named _ "workload"] and 64 of
+   [split]. *)
+let rng_stream_recorded () =
+  let digest_of f =
+    Digest.to_hex (Digest.string (String.concat " " (List.init 64 (fun _ -> f ()))))
+  in
+  let hex r () = Printf.sprintf "%016Lx" (Sim.Rng.bits64 r) in
+  List.iter
+    (fun (seed, first, bits, ints, floats, named, split) ->
+      let fresh () = Sim.Rng.create seed in
+      check Alcotest.int64 "first output" first (Sim.Rng.bits64 (fresh ()));
+      check Alcotest.string "bits64 stream" bits (digest_of (hex (fresh ())));
+      let r = fresh () in
+      check Alcotest.string "int_in stream" ints
+        (digest_of (fun () -> string_of_int (Sim.Rng.int_in r 1 1000)));
+      let r = fresh () in
+      check Alcotest.string "float stream" floats
+        (digest_of (fun () -> Printf.sprintf "%h" (Sim.Rng.float r)));
+      check Alcotest.string "split_named stream" named
+        (digest_of (hex (Sim.Rng.split_named (fresh ()) "workload")));
+      check Alcotest.string "split stream" split (digest_of (hex (Sim.Rng.split (fresh ())))))
+    [
+      ( 0L, 0xe220a8397b1dcdafL, "56ec3429db44dd96aef64c3309d15f04",
+        "7adc4e390887f113daf115f4a4b8c2a9", "eb203c03ac69d3743e8e7ef8106a979e",
+        "0324d15138055d429408f8e4822ab154", "9e6191e25b2e4c00528f4ded113b79e9" );
+      ( 1L, 0x910a2dec89025cc1L, "d7ba949d62c675672bb1e924a3b2ec8d",
+        "8064cae685700146c30fd5c07ec7dffa", "274fe19dc447ad7152c906600ae51762",
+        "cef213522e4c32b697a167c5a8c33c66", "6aadc7cc29224e65edf6badb19e8b839" );
+      ( 24301L, 0x09f1fd9d03f0a9b4L, "e0ad03dce65450e7cee3f0e5e1857e22",
+        "75da55982336c78d1577cc9428c7299c", "f5cd98f60cc19569d1d34679cc934e33",
+        "8ccb5d3fc1af5c2157ecd9b6685211b6", "ab4414f5a75c941f86d1d40a017eb02d" );
+    ]
+
 (* ------------------------------ Pqueue ----------------------------- *)
+
+(* The queues answer min_prio (max_int when empty) and pop the value;
+   the tests compare (priority, value) pairs and options of them. *)
+let pq_peek q = if Sim.Pqueue.is_empty q then None else Some (Sim.Pqueue.min_prio q)
+let pq_pop q = Option.map (fun p -> (p, Sim.Pqueue.pop q)) (pq_peek q)
+let wh_peek q = if Sim.Wheel.is_empty q then None else Some (Sim.Wheel.min_prio q)
+let wh_pop q = Option.map (fun p -> (p, Sim.Wheel.pop q)) (wh_peek q)
 
 let pqueue_orders () =
   let q = Sim.Pqueue.create () in
   List.iter (fun p -> Sim.Pqueue.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
-  let order = List.init 5 (fun _ -> fst (Option.get (Sim.Pqueue.pop q))) in
+  let order = List.init 5 (fun _ -> fst (Option.get (pq_pop q))) in
   check (Alcotest.list int) "min-heap order" [ 1; 1; 3; 4; 5 ] order;
   check bool "now empty" true (Sim.Pqueue.is_empty q)
 
 let pqueue_fifo_ties () =
   let q = Sim.Pqueue.create () in
   List.iteri (fun i label -> Sim.Pqueue.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (Sim.Pqueue.pop q)))) in
+  let labels = List.init 4 (fun _ -> snd (snd (Option.get (pq_pop q)))) in
   check (Alcotest.list Alcotest.string) "FIFO among equal priorities" [ "a"; "b"; "c"; "d" ] labels
 
 let pqueue_interleaved () =
   let q = Sim.Pqueue.create () in
   Sim.Pqueue.add q ~prio:10 10;
   Sim.Pqueue.add q ~prio:1 1;
-  check (Alcotest.option int) "peek min" (Some 1) (Sim.Pqueue.peek_prio q);
-  ignore (Sim.Pqueue.pop q);
+  check (Alcotest.option int) "peek min" (Some 1) (pq_peek q);
+  ignore (pq_pop q);
   Sim.Pqueue.add q ~prio:5 5;
   check int "size" 2 (Sim.Pqueue.size q);
-  check (Alcotest.option int) "next is 5" (Some 5) (Sim.Pqueue.peek_prio q)
+  check (Alcotest.option int) "next is 5" (Some 5) (pq_peek q)
 
 let pqueue_empty_pop () =
   let q = Sim.Pqueue.create () in
-  check bool "pop empty" true (Sim.Pqueue.pop q = None);
-  check bool "peek empty" true (Sim.Pqueue.peek_prio q = None)
+  check int "min_prio of empty is Time.infinity" Sim.Time.infinity (Sim.Pqueue.min_prio q);
+  check bool "pop empty raises" true
+    (match Sim.Pqueue.pop q with _ -> false | exception Invalid_argument _ -> true);
+  let w = Sim.Wheel.create () in
+  check int "wheel min_prio of empty is Time.infinity" Sim.Time.infinity (Sim.Wheel.min_prio w);
+  check bool "wheel pop empty raises" true
+    (match Sim.Wheel.pop w with _ -> false | exception Invalid_argument _ -> true)
 
 let pqueue_sorts =
   QCheck.Test.make ~name:"pqueue: drains any multiset in sorted order" ~count:200
@@ -136,7 +213,7 @@ let pqueue_sorts =
       let q = Sim.Pqueue.create () in
       List.iter (fun p -> Sim.Pqueue.add q ~prio:p p) prios;
       let rec drain acc =
-        match Sim.Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match pq_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare prios)
 
@@ -164,7 +241,7 @@ let pqueue_compacts_when_mostly_dead () =
   check bool "husks reclaimed" true (Sim.Pqueue.size q < 100);
   check bool "live entries kept" true (Sim.Pqueue.size q >= 40);
   let rec drain acc =
-    match Sim.Pqueue.pop q with
+    match pq_pop q with
     | None -> List.rev acc
     | Some (_, v) -> drain (if Hashtbl.mem dead v then acc else v :: acc)
   in
@@ -178,7 +255,7 @@ let pqueue_forced_compact () =
   Sim.Pqueue.note_dead q;
   Sim.Pqueue.compact q;
   check int "husk dropped" 4 (Sim.Pqueue.size q);
-  let order = List.init 4 (fun _ -> snd (snd (Option.get (Sim.Pqueue.pop q)))) in
+  let order = List.init 4 (fun _ -> snd (snd (Option.get (pq_pop q)))) in
   check (Alcotest.list int) "order and FIFO ties survive compaction" [ 1; 1; 3; 5 ] order
 
 let pqueue_compaction_agrees =
@@ -205,7 +282,7 @@ let pqueue_compaction_agrees =
         prios;
       let drain queue =
         let rec go acc =
-          match Sim.Pqueue.pop queue with
+          match pq_pop queue with
           | None -> List.rev acc
           | Some (_, v) -> go (if is_dead v then acc else v :: acc)
         in
@@ -218,14 +295,14 @@ let pqueue_compaction_agrees =
 let wheel_orders () =
   let q = Sim.Wheel.create () in
   List.iter (fun p -> Sim.Wheel.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
-  let order = List.init 5 (fun _ -> fst (Option.get (Sim.Wheel.pop q))) in
+  let order = List.init 5 (fun _ -> fst (Option.get (wh_pop q))) in
   check (Alcotest.list int) "sorted" [ 1; 1; 3; 4; 5 ] order;
   check bool "now empty" true (Sim.Wheel.is_empty q)
 
 let wheel_fifo_ties () =
   let q = Sim.Wheel.create () in
   List.iteri (fun i label -> Sim.Wheel.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (Sim.Wheel.pop q)))) in
+  let labels = List.init 4 (fun _ -> snd (snd (Option.get (wh_pop q)))) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
     labels
 
@@ -238,7 +315,7 @@ let wheel_multilevel_spans () =
   in
   List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
   let rec drain acc =
-    match Sim.Wheel.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+    match wh_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
   in
   check (Alcotest.list int) "global order across levels"
     (List.sort compare prios) (drain [])
@@ -246,7 +323,7 @@ let wheel_multilevel_spans () =
 let wheel_floor_rejects_past () =
   let q = Sim.Wheel.create () in
   Sim.Wheel.add q ~prio:100 "x";
-  ignore (Sim.Wheel.pop q);
+  ignore (wh_pop q);
   check int "floor tracks the last popped tick" 100 (Sim.Wheel.floor q);
   let rejected =
     match Sim.Wheel.add q ~prio:99 "past" with
@@ -257,7 +334,7 @@ let wheel_floor_rejects_past () =
   (* Adding exactly at the floor (the engine's "schedule now") is fine. *)
   Sim.Wheel.add q ~prio:100 "now";
   check (Alcotest.option int) "same-tick add lands at the floor" (Some 100)
-    (Sim.Wheel.peek_prio q)
+    (wh_peek q)
 
 let wheel_matches_pqueue =
   (* The engine promises the wheel is a drop-in replacement for the heap:
@@ -278,7 +355,7 @@ let wheel_matches_pqueue =
       let agree () =
         ok :=
           !ok
-          && Sim.Wheel.peek_prio w = Sim.Pqueue.peek_prio p
+          && wh_peek w = pq_peek p
           && Sim.Wheel.size w = Sim.Pqueue.size p
       in
       List.iter
@@ -298,7 +375,7 @@ let wheel_matches_pqueue =
               Sim.Wheel.add w ~prio v;
               Sim.Pqueue.add p ~prio v
           | 1 -> (
-              let a = Sim.Wheel.pop w and b = Sim.Pqueue.pop p in
+              let a = wh_pop w and b = pq_pop p in
               ok := !ok && a = b;
               match a with Some (t, _) -> now := t | None -> ())
           | _ -> (
@@ -314,7 +391,7 @@ let wheel_matches_pqueue =
           agree ())
         codes;
       let rec drain () =
-        let a = Sim.Wheel.pop w and b = Sim.Pqueue.pop p in
+        let a = wh_pop w and b = pq_pop p in
         ok := !ok && a = b;
         if a <> None then drain ()
       in
@@ -322,6 +399,34 @@ let wheel_matches_pqueue =
       !ok)
 
 (* ------------------------------ Engine ----------------------------- *)
+
+(* Scheduling and firing a no-op event allocates the event record
+   (3 words; it is also the cancellation handle) and the queue's node
+   for it (the wheel's 5-word linked node, the heap's 4-word entry), and
+   nothing else. Many events stay pending throughout, so the wheel
+   files, cascades and drains as in a run. *)
+let engine_noop_event_allocation () =
+  List.iter
+    (fun (backend, name) ->
+      let engine = Sim.Engine.create ~backend () in
+      let fired = ref 0 in
+      (* 64 chains of self-rescheduling events with delays up to 300
+         ticks: the one [tick] closure is built here, not per event. *)
+      let rec tick () =
+        incr fired;
+        if !fired < 50_000 then
+          ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!fired * 7919 mod 300)) tick)
+      in
+      for i = 1 to 64 do
+        ignore (Sim.Engine.schedule engine ~at:i tick)
+      done;
+      let w0 = Gc.minor_words () in
+      Sim.Engine.run_all engine;
+      let words = (Gc.minor_words () -. w0) /. float_of_int !fired in
+      check bool
+        (Printf.sprintf "%s: %.2f words per fired no-op event <= 8" name words)
+        true (words <= 8.))
+    [ (`Wheel, "wheel"); (`Heap, "heap") ]
 
 let engine_fires_in_order () =
   let engine = Sim.Engine.create () in
@@ -486,7 +591,7 @@ let queue_rejects_infinity () =
   Sim.Wheel.add w ~prio:(max_int - 1) "last";
   check (Alcotest.option (Alcotest.pair int Alcotest.string)) "wheel pops max_int - 1"
     (Some (max_int - 1, "last"))
-    (Sim.Wheel.pop w);
+    (wh_pop w);
   let p = Sim.Pqueue.create () in
   let rejected = match Sim.Pqueue.add p ~prio:max_int "inf" with
     | () -> false
@@ -496,7 +601,7 @@ let queue_rejects_infinity () =
   Sim.Pqueue.add p ~prio:(max_int - 1) "last";
   check (Alcotest.option (Alcotest.pair int Alcotest.string)) "pqueue pops max_int - 1"
     (Some (max_int - 1, "last"))
-    (Sim.Pqueue.pop p)
+    (pq_pop p)
 
 (* [Time.add] saturates to infinity, so a huge relative delay is a
    well-defined "never": schedule_after must become the infinity no-op
@@ -642,6 +747,8 @@ let suite =
     Alcotest.test_case "time: saturating addition" `Quick time_add_saturates;
     Alcotest.test_case "time: predicates and printing" `Quick time_predicates;
     Alcotest.test_case "rng: determinism" `Quick rng_deterministic;
+    Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
+    Alcotest.test_case "rng: stream matches the recorded outputs" `Quick rng_stream_recorded;
     Alcotest.test_case "rng: seed sensitivity" `Quick rng_seed_sensitivity;
     Alcotest.test_case "rng: split_named stable" `Quick rng_split_named_stable;
     Alcotest.test_case "rng: split_named distinct" `Quick rng_split_named_distinct;
@@ -666,6 +773,8 @@ let suite =
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
     QCheck_alcotest.to_alcotest wheel_matches_pqueue;
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
+    Alcotest.test_case "engine: a no-op event allocates its record and node only" `Quick
+      engine_noop_event_allocation;
     Alcotest.test_case "engine: FIFO at equal times" `Quick engine_same_time_fifo;
     Alcotest.test_case "engine: run ~until" `Quick engine_until_bound;
     Alcotest.test_case "engine: cancellation" `Quick engine_cancel;
