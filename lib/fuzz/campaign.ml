@@ -29,6 +29,20 @@ type case_result = {
   cr_events : int;
 }
 
+(* Run [s] to its horizon, handing [at_prefix] the report "as if the
+   horizon were h" at every h of [prefixes] (ascending, below the
+   horizon) on the way. By the horizon-prefix property (DESIGN.md) each
+   is the report a fresh run of [{s with horizon = h}] would give. *)
+let run_with_prefixes (s : Harness.Scenario.t) ~prefixes ~at_prefix =
+  let w = Harness.World.create s in
+  List.iter
+    (fun h ->
+      Harness.World.advance w ~until:h;
+      at_prefix (Harness.World.report ~horizon:h w))
+    prefixes;
+  Harness.World.advance w ~until:s.horizon;
+  Harness.World.report w
+
 let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
     ?(shrink = true) ~seed ~cases () =
   let run_case case =
@@ -51,15 +65,28 @@ let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
             (* The descent retries some exact scenarios (a family's
                minimal instance after every decrement, for one), and the
                final reproducer's message is a verdict it already has:
-               both come from this case-local cache. A hit still counts
-               as an attempt in [Shrink.minimize]. *)
+               both come from this case-local cache. Every candidate
+               that is simulated also fills it, through its prefix
+               reports, for each shorter-horizon version of itself the
+               descent may propose later ({!Shrink.horizon_closure}). A
+               hit still counts as an attempt in [Shrink.minimize], so
+               the descent and its counts are those of a shrinker that
+               simulates every attempt. *)
             let verdicts = Hashtbl.create 64 in
             Hashtbl.replace verdicts s (Some message);
             let verdict s' =
               match Hashtbl.find_opt verdicts s' with
               | Some v -> v
               | None ->
-                  let v = p.Property.check (Harness.Run.run s') in
+                  let prefixes =
+                    List.filter
+                      (fun h -> not (Hashtbl.mem verdicts { s' with Harness.Scenario.horizon = h }))
+                      (Shrink.horizon_closure s'.Harness.Scenario.horizon)
+                  in
+                  let at_prefix (r' : Harness.World.report) =
+                    Hashtbl.replace verdicts r'.scenario (p.Property.check r')
+                  in
+                  let v = p.Property.check (run_with_prefixes s' ~prefixes ~at_prefix) in
                   Hashtbl.replace verdicts s' v;
                   v
             in

@@ -78,6 +78,17 @@ let shrink_crashes (c : Harness.Scenario.crash_plan) :
             ]
           else [])
 
+let horizon_steps h = if h > 2_000 then [ max 2_000 (h / 2); max 2_000 (h * 3 / 4) ] else []
+
+let horizon_closure h =
+  let rec close seen = function
+    | [] -> seen
+    | h :: todo ->
+        let fresh = List.filter (fun h' -> not (List.mem h' seen)) (horizon_steps h) in
+        close (fresh @ seen) (fresh @ todo)
+  in
+  List.sort_uniq compare (close [] [ h ])
+
 let candidates (s : Harness.Scenario.t) : (string * Harness.Scenario.t) list =
   let topo =
     List.map
@@ -87,14 +98,9 @@ let candidates (s : Harness.Scenario.t) : (string * Harness.Scenario.t) list =
   in
   let crashes = List.map (fun (l, c) -> (l, { s with crashes = c })) (shrink_crashes s.crashes) in
   let horizon =
-    if s.horizon > 2_000 then
-      [
-        ( Printf.sprintf "horizon -> %d" (max 2_000 (s.horizon / 2)),
-          { s with horizon = max 2_000 (s.horizon / 2) } );
-        ( Printf.sprintf "horizon -> %d" (max 2_000 (s.horizon * 3 / 4)),
-          { s with horizon = max 2_000 (s.horizon * 3 / 4) } );
-      ]
-    else []
+    List.map
+      (fun h -> (Printf.sprintf "horizon -> %d" h, { s with horizon = h }))
+      (horizon_steps s.horizon)
   in
   (* Every candidate must differ from the current scenario, or the
      descent would accept a no-op step forever. *)

@@ -15,6 +15,16 @@ type result = {
   actions : string list;  (** Accepted transformations, oldest first. *)
 }
 
+val horizon_steps : Sim.Time.t -> Sim.Time.t list
+(** The horizons {!candidates} proposes for a scenario of horizon [h]:
+    [max 2000 (h/2)] and [max 2000 (3h/4)], or none once [h <= 2000].
+    Each is strictly below [h]. *)
+
+val horizon_closure : Sim.Time.t -> Sim.Time.t list
+(** Every horizon reachable from [h] by one or more {!horizon_steps},
+    ascending, without [h] itself: the horizons a descent that only ever
+    shortens the horizon can propose. *)
+
 val candidates : Harness.Scenario.t -> (string * Harness.Scenario.t) list
 (** The labelled one-step simplifications of a scenario, most aggressive
     first. Exposed for tests. *)

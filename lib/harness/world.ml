@@ -10,6 +10,7 @@ type t = {
   workload : Workload.t;
   eats_per_process : int array;
   invariant_error : string option ref;
+  mutable advanced_to : Sim.Time.t;  (* largest [until] passed to [advance] *)
 }
 
 type report = {
@@ -91,18 +92,36 @@ let create ?backend ?(trace = Sim.Trace.create ()) ?(metrics = Obs.Metrics.creat
     workload;
     eats_per_process;
     invariant_error;
+    advanced_to = Sim.Time.zero;
   }
 
 let now (w : t) = Sim.Engine.now w.parts.engine
-let advance (w : t) ~until = Sim.Engine.run w.parts.engine ~until
+let advance (w : t) ~until =
+  Sim.Engine.run w.parts.engine ~until;
+  w.advanced_to <- max w.advanced_to until
 
-let report (w : t) =
-  let s = w.scenario in
+let report ?horizon (w : t) =
+  let s =
+    match horizon with
+    | None -> w.scenario
+    | Some h ->
+        if h <> w.advanced_to || h > w.scenario.horizon then
+          invalid_arg "World.report: a prefix horizon must be where the world was advanced to";
+        { w.scenario with horizon = h }
+  in
   let { Setup.graph; crashed; instance; link_stats; song_pike; engine; _ } = w.parts in
   let n = Cgraph.Graph.n graph in
-  (if !(w.invariant_error) = None then
-     try instance.check_invariants ()
-     with Dining.Types.Invariant_violation msg -> w.invariant_error := Some msg);
+  (* Computed, not written back: a prefix report must not change what a
+     later report of the same world says. *)
+  let invariant_error =
+    match !(w.invariant_error) with
+    | Some _ as e -> e
+    | None -> (
+        try
+          instance.check_invariants ();
+          None
+        with Dining.Types.Invariant_violation msg -> Some msg)
+  in
   let convergence, detector_mistakes = Setup.convergence w.parts in
   (* Point-in-time levels, refreshed on every report. *)
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "engine.events") (Sim.Engine.processed engine);
@@ -132,7 +151,7 @@ let report (w : t) =
     total_eats = Array.fold_left ( + ) 0 w.eats_per_process;
     eats_per_process = w.eats_per_process;
     hungry_transitions = Workload.hungry_transitions w.workload;
-    invariant_error = !(w.invariant_error);
+    invariant_error;
     max_footprint_bits;
     max_message_bits;
     events_processed = Sim.Engine.processed engine;

@@ -75,10 +75,24 @@ val advance : t -> until:Sim.Time.t -> unit
 val now : t -> Sim.Time.t
 (** Current virtual time of this world's engine. *)
 
-val report : t -> report
-(** Run the final invariant check and assemble the report for whatever
-    has executed so far. Normally called once [advance] reached the
-    scenario horizon. *)
+val report : ?horizon:Sim.Time.t -> t -> report
+(** Assemble the report for whatever has executed so far, including a
+    final executable-lemma check. Reporting leaves the world's state as
+    it was — the final check's verdict is returned, not recorded — so a
+    world can be reported, advanced further and reported again, and the
+    last report equals {!run}'s. (It does refresh the registry's
+    point-in-time gauges, and the monitors, [eats_per_process] and
+    [metrics] it returns are the live world's, so read them before
+    advancing again.) Normally called once [advance] reached the
+    scenario horizon.
+
+    [horizon] reports a prefix: the world must have been advanced to
+    exactly [horizon], at most the scenario's horizon, and the report
+    carries [horizon] and [scenario = {s with horizon}]. It reads the
+    same as [run {s with horizon}] — same events, eats, monitors and
+    oracle verdicts (the horizon-prefix property, DESIGN.md) — save the
+    [engine.pending] gauge, which still counts this world's later
+    events. Raises [Invalid_argument] on any other [horizon]. *)
 
 val run :
   ?backend:Sim.Engine.backend ->

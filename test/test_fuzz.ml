@@ -221,6 +221,128 @@ let shrinker_is_deterministic () =
   check bool "same reproducer" true (a.scenario = b.scenario);
   check bool "same path" true (a.actions = b.actions)
 
+(* ------------------------ horizon prefixes ------------------------- *)
+
+(* The closure is where the campaign takes prefix reports: it must hold
+   every horizon a descent reaches by horizon steps alone, and the
+   candidates must take their horizons from the same steps. *)
+let shrink_horizon_closure () =
+  List.iter
+    (fun h ->
+      let closure = Fuzz.Shrink.horizon_closure h in
+      check bool "ascending, below h" true
+        (List.sort_uniq compare closure = closure && List.for_all (fun h' -> h' < h) closure);
+      List.iter
+        (fun h' ->
+          check bool "closed under steps" true
+            (List.for_all (fun h'' -> List.mem h'' closure) (Fuzz.Shrink.horizon_steps h')))
+        (h :: closure);
+      let proposed =
+        List.filter_map
+          (fun (_, (c : Harness.Scenario.t)) -> if c.horizon <> h then Some c.horizon else None)
+          (Fuzz.Shrink.candidates (scenario ~horizon:h ()))
+      in
+      check (Alcotest.list int) "candidates propose exactly the steps"
+        (Fuzz.Shrink.horizon_steps h) proposed)
+    [ 1_000; 2_000; 2_001; 8_000; 13_000; 16_000; 40_000 ];
+  check (Alcotest.list int) "closure of 8000"
+    [ 2_000; 2_250; 2_531; 3_000; 3_375; 4_000; 4_500; 6_000 ]
+    (Fuzz.Shrink.horizon_closure 8_000)
+
+(* Everything a report says, read out before its world advances again
+   (monitors and counters are the live world's). [engine.pending] is
+   left out: a prefix world still holds the events past its prefix. *)
+let view (r : Harness.World.report) =
+  let metrics = List.filter (fun (name, _) -> name <> "engine.pending") (Obs.Metrics.dump r.metrics) in
+  ( (r.scenario, r.crashed, r.convergence, r.detector_mistakes, r.horizon),
+    (r.total_eats, Array.to_list r.eats_per_process, r.hungry_transitions, r.events_processed),
+    (r.invariant_error, r.max_footprint_bits, r.max_message_bits, metrics),
+    ( Monitor.Exclusion.violations r.exclusion,
+      Monitor.Fairness.overtakes r.fairness,
+      Monitor.Response.completed r.response,
+      Monitor.Response.open_sessions r.response,
+      Monitor.Phases.doorway_waits r.phases,
+      Monitor.Phases.fork_waits r.phases ),
+    ( Net.Link_stats.per_edge_watermarks r.link_stats,
+      Net.Link_stats.total_sent r.link_stats,
+      Net.Link_stats.total_delivered r.link_stats,
+      Net.Link_stats.total_dropped r.link_stats ),
+    Fuzz.Property.failures Fuzz.Property.all r )
+
+let detector_kind (s : Harness.Scenario.t) =
+  match s.detector with
+  | Harness.Scenario.Never -> "never"
+  | Harness.Scenario.Perfect -> "perfect"
+  | Harness.Scenario.Oracle _ -> "oracle"
+  | Harness.Scenario.Heartbeat _ -> "heartbeat"
+  | Harness.Scenario.Unreliable _ -> "unreliable"
+
+(* Generated scenarios from both profiles, the first ones that bring a
+   detector kind or an algorithm the profile has not shown yet. *)
+let prefix_scenarios =
+  lazy
+    (List.concat_map
+       (fun profile ->
+         let seen = Hashtbl.create 16 in
+         List.filter_map
+           (fun case ->
+             let s = Fuzz.Gen.scenario ~profile ~campaign_seed:11L ~case in
+             let keys = [ `D (detector_kind s); `A s.algo ] in
+             if List.for_all (Hashtbl.mem seen) keys then None
+             else (
+               List.iter (fun k -> Hashtbl.replace seen k ()) keys;
+               Some s))
+           (List.init 60 Fun.id))
+       [ Fuzz.Gen.Sound; Fuzz.Gen.Hostile ])
+
+(* The horizon-prefix property: a world advanced to h' < h and reported
+   "as if the horizon were h'" says what a fresh run of
+   [{s with horizon = h'}] says, for every h' the shrinker can reach. *)
+let prefix_report_equals_fresh_run () =
+  let scenarios = Lazy.force prefix_scenarios in
+  check (Alcotest.list Alcotest.string) "every detector kind covered"
+    [ "heartbeat"; "never"; "oracle"; "perfect"; "unreliable" ]
+    (List.sort_uniq compare (List.map detector_kind scenarios));
+  check int "every algorithm covered" 4
+    (List.length (List.sort_uniq compare (List.map (fun (s : Harness.Scenario.t) -> s.algo) scenarios)));
+  List.iter
+    (fun (s : Harness.Scenario.t) ->
+      let w = Harness.World.create s in
+      List.iter
+        (fun h ->
+          Harness.World.advance w ~until:h;
+          let prefix = view (Harness.World.report ~horizon:h w) in
+          check bool
+            (Printf.sprintf "%s at horizon %d = fresh run" s.name h)
+            true
+            (prefix = view (Harness.World.run { s with horizon = h })))
+        (Fuzz.Shrink.horizon_closure s.horizon))
+    scenarios
+
+(* Reporting mid-run changes nothing: the final report of a world
+   reported at h/3 equals World.run's. Prefix reports only exist where
+   the world was advanced to. *)
+let report_is_pure () =
+  List.iter
+    (fun (s : Harness.Scenario.t) ->
+      let w = Harness.World.create s in
+      Harness.World.advance w ~until:(s.horizon / 3);
+      ignore (view (Harness.World.report w));
+      ignore (view (Harness.World.report ~horizon:(s.horizon / 3) w));
+      Harness.World.advance w ~until:s.horizon;
+      check bool (s.name ^ ": staged report = run") true
+        (view (Harness.World.report w) = view (Harness.World.run s));
+      List.iter
+        (fun h ->
+          check bool
+            (Printf.sprintf "%s: prefix %d rejected at %d" s.name h s.horizon)
+            true
+            (match Harness.World.report ~horizon:h w with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        [ s.horizon / 3; s.horizon - 1; s.horizon + 1 ])
+    (Lazy.force prefix_scenarios)
+
 (* --------------------------- campaigns ----------------------------- *)
 
 let campaign_domains_invariant () =
@@ -249,6 +371,20 @@ let campaign_hostile_finds_and_shrinks () =
       match Fuzz.Repro.replay p f.shrunk with
       | Fuzz.Repro.Reproduced _ -> ()
       | Fuzz.Repro.Clean _ -> Alcotest.fail "campaign reproducer did not reproduce")
+
+(* Shrinking through the verdict cache and prefix reports must give the
+   report of a campaign that simulates every attempt from t = 0. *)
+let campaign_matches_reference () =
+  List.iter
+    (fun (profile, seed, cases) ->
+      let r = Fuzz.Campaign.run ~domains:2 ~profile ~seed ~cases () in
+      check bool "some case was shrunk" true
+        (profile = Fuzz.Gen.Sound || List.exists (fun (f : Fuzz.Campaign.failure) -> f.shrink_steps > 0) r.failures);
+      check bool
+        (Printf.sprintf "%s seed %Ld: campaign = reference" (Fuzz.Gen.profile_name profile) seed)
+        true
+        (r = Campaign_reference.run ~profile ~seed ~cases))
+    [ (Fuzz.Gen.Hostile, 5L, 24); (Fuzz.Gen.Hostile, 21L, 16); (Fuzz.Gen.Sound, 3L, 8) ]
 
 let property_registry () =
   check int "six oracles" 6 (List.length Fuzz.Property.all);
@@ -283,10 +419,17 @@ let suite =
     Alcotest.test_case "repro: codec rejects garbage" `Quick codec_rejects_garbage;
     Alcotest.test_case "shrink: known failure minimizes and replays" `Slow shrinker_regression;
     Alcotest.test_case "shrink: deterministic descent" `Slow shrinker_is_deterministic;
+    Alcotest.test_case "shrink: horizon closure is closed under steps" `Quick
+      shrink_horizon_closure;
+    Alcotest.test_case "prefix: report at h' = fresh run of h'" `Slow
+      prefix_report_equals_fresh_run;
+    Alcotest.test_case "world: reporting mid-run changes nothing" `Slow report_is_pure;
     Alcotest.test_case "campaign: report identical for any domains" `Slow
       campaign_domains_invariant;
     Alcotest.test_case "campaign: sound profile is clean" `Slow campaign_sound_is_clean;
     Alcotest.test_case "campaign: hostile finds, shrinks, replays" `Slow
       campaign_hostile_finds_and_shrinks;
+    Alcotest.test_case "campaign: equals re-simulating reference" `Slow
+      campaign_matches_reference;
     Alcotest.test_case "property registry" `Quick property_registry;
   ]
