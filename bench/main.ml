@@ -43,15 +43,6 @@ let perf_tests () =
            in
            ignore (Sim.Engine.schedule engine ~at:0 tick);
            Sim.Engine.run_all engine));
-    Test.make ~name:"pqueue:10k-mixed"
-      (Staged.stage (fun () ->
-           let q = Sim.Pqueue.create () in
-           for i = 0 to 9_999 do
-             Sim.Pqueue.add q ~prio:((i * 7919) mod 1000) i
-           done;
-           while not (Sim.Pqueue.is_empty q) do
-             ignore (Sim.Pqueue.pop q)
-           done));
     Test.make ~name:"rng:100k-draws"
       (Staged.stage (fun () ->
            let rng = Sim.Rng.create 7L in
@@ -442,19 +433,24 @@ let run_scale_cell ~measure_live spec =
     seconds;
   }
 
-(* Engine-only throughput: a self-rescheduling event storm with spread
-   delays, per queue backend. *)
-let engine_micro backend =
+(* Engine-only throughput: a storm of [storm_chains] self-rescheduling
+   event chains, so the queue holds that many events in flight the whole
+   time, as a world does, with delays spread over several wheel levels. *)
+let storm_chains = 4_096
+
+let engine_storm () =
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Sys.time () in
-  let engine = Sim.Engine.create ~backend () in
+  let engine = Sim.Engine.create () in
   let count = ref 0 in
   let rec tick () =
     incr count;
-    if !count < 200_000 then
-      ignore (Sim.Engine.schedule_after engine ~delay:(1 + ((!count * 7) mod 50)) tick)
+    if !count <= 400_000 then
+      ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!count * 7919 mod 2_000)) tick)
   in
-  ignore (Sim.Engine.schedule engine ~at:0 tick);
+  for i = 0 to storm_chains - 1 do
+    ignore (Sim.Engine.schedule engine ~at:i tick)
+  done;
   Sim.Engine.run_all engine;
   let seconds = Sys.time () -. t0 in
   (Sim.Engine.processed engine, words_of_bytes (Gc.allocated_bytes () -. alloc0), seconds)
@@ -475,16 +471,11 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
-  (* Engine micro, both backends: same event count, different queue. *)
-  let wheel_events, wheel_alloc, wheel_s = engine_micro `Wheel in
-  let heap_events, heap_alloc, heap_s = engine_micro `Heap in
-  assert (wheel_events = heap_events);
-  Report.int report "engine.wheel.events" wheel_events;
-  Report.int report "engine.wheel.alloc_words" wheel_alloc;
-  Report.float report "engine.wheel.run_seconds" wheel_s;
-  Report.int report "engine.heap.events" heap_events;
-  Report.int report "engine.heap.alloc_words" heap_alloc;
-  Report.float report "engine.heap.run_seconds" heap_s;
+  let storm_events, storm_alloc, storm_s = engine_storm () in
+  Report.int report "engine.storm.chains" storm_chains;
+  Report.int report "engine.storm.events" storm_events;
+  Report.int report "engine.storm.alloc_words" storm_alloc;
+  Report.float report "engine.storm.run_seconds" storm_s;
   (* Model-checker throughput. *)
   let mc_alloc0 = Gc.allocated_bytes () in
   let mc_t0 = Sys.time () in

@@ -30,6 +30,7 @@ type t = {
   nbr : pid array; (* CSR targets, owned by the graph *)
   rev : int array; (* slot (i,j) -> slot (j,i) *)
   color : int array;
+  max_color : int; (* colors are fixed at create, so this is too *)
   phase_a : Bytes.t; (* pid -> phase code *)
   inside_a : Bytes.t; (* pid -> 0/1 *)
   flags : Bytes.t; (* slot -> pinged/ack/deferred/fork/token bits *)
@@ -283,6 +284,7 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?(trace = Sim.Tr
       nbr;
       rev;
       color = colors;
+      max_color = Array.fold_left max 0 colors;
       phase_a = Bytes.make n '\000';
       inside_a = Bytes.make n '\000';
       flags;
@@ -326,22 +328,16 @@ let total_eats t = Array.fold_left ( + ) 0 t.eats
 let add_listener t f = t.listeners <- t.listeners @ [ f ]
 let network_stats t = Net.Network.stats (net t)
 
-let max_color t =
-  let best = ref 0 in
-  for i = 0 to t.n - 1 do
-    if t.color.(i) > !best then best := t.color.(i)
-  done;
-  !best
-
+(* O(1) per pid: the report takes the max over every process. *)
 let footprint_bits t i =
   let rec bits acc v = if v <= 0 then max acc 1 else bits (acc + 1) (v lsr 1) in
-  2 + 1 + bits 0 (max_color t) + (6 * Cgraph.Graph.degree t.graph i)
+  2 + 1 + bits 0 t.max_color + (6 * Cgraph.Graph.degree t.graph i)
 
 let max_message_bits t =
   List.fold_left
     (fun acc m -> max acc (message_bits ~n:t.n m))
     0
-    [ Ping; Ack; Request (max_color t); Fork ]
+    [ Ping; Ack; Request t.max_color; Fork ]
 
 (* ------------------------------------------------------------------ *)
 (* Executable lemmas.                                                  *)

@@ -50,7 +50,6 @@ type report = {
 }
 
 val create :
-  ?backend:Sim.Engine.backend ->
   ?trace:Sim.Trace.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
@@ -58,14 +57,12 @@ val create :
   t
 (** Build a fresh world: engine, network, detector, daemon, monitors and
     workload, with the crash plan scheduled and the invariant watcher
-    armed. Virtual time has not advanced yet. [backend] selects the
-    engine's event-queue implementation (default: the timing wheel; both
-    backends are bit-identical). [trace] becomes the engine's recorder
-    (capture it with {!Obs.Recorder.collecting} for JSONL export);
-    [metrics] is the registry every component registers into (default: a
-    fresh private one, available via the report). [shards > 0] runs the
-    engine on staged stepping with that many shards (see
-    {!Setup.build}); reports and traces are bit-identical for any
+    armed. Virtual time has not advanced yet. [trace] becomes the
+    engine's recorder (capture it with {!Obs.Recorder.collecting} for
+    JSONL export); [metrics] is the registry every component registers
+    into (default: a fresh private one, available via the report).
+    [shards > 0] runs the engine on staged stepping with that many shards
+    (see {!Setup.build}); reports and traces are bit-identical for any
     value. *)
 
 val advance : t -> until:Sim.Time.t -> unit
@@ -95,15 +92,13 @@ val report : ?horizon:Sim.Time.t -> t -> report
     events. Raises [Invalid_argument] on any other [horizon]. *)
 
 val run :
-  ?backend:Sim.Engine.backend ->
   ?trace:Sim.Trace.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
   Scenario.t ->
   report
 (** [create |> advance ~until:horizon |> report] — deterministic in the
-    scenario: same scenario, same report, on any domain and with either
-    queue backend. *)
+    scenario: same scenario, same report, on any domain. *)
 
 val throughput : report -> float
 (** Eats per 1000 ticks. *)

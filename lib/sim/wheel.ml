@@ -23,12 +23,12 @@
    global FIFO order for that tick, with no sort, even though insertion
    happened across different floor epochs.
 
-   Same-tick FIFO order among equal priorities therefore matches
-   {!Pqueue} exactly; the dead-husk accounting and compaction threshold
-   below are copied from it verbatim, so the two backends produce
-   identical pop streams — husks included — for any interleaving of
-   add/cancel/pop. The differential tests in test/test_sim.ml hold both
-   implementations to that. *)
+   Pops therefore come out in (tick, insertion) order, exactly as from
+   a priority queue keyed on (prio, seq). The differential test in
+   test/test_sim.ml holds the wheel to the plain reference queue in
+   test/queue_reference.ml — same pop stream, husks included, and same
+   sizes under the dead-husk accounting and compaction threshold below —
+   for random interleavings of add/cancel/pop. *)
 
 (* A queued entry is also the cell of its slot's list: [next] links the
    entries filed in one slot, so filing, cascading and draining relink
@@ -42,8 +42,7 @@ let slots_per_level = 1 lsl slot_bits
 let slot_mask = slots_per_level - 1
 let words_per_level = slots_per_level / 32
 
-(* Below this size a rebuild costs more than the husks it reclaims.
-   Must match Pqueue.compaction_floor for identical pop streams. *)
+(* Below this size a rebuild costs more than the husks it reclaims. *)
 let compaction_floor = 16
 
 type 'a t = {
@@ -379,16 +378,4 @@ let note_dead t =
   if t.size >= compaction_floor && 2 * t.dead_count > t.size then compact t
 
 let size t = t.size
-let is_empty t = t.size = 0
 let floor t = t.floor
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) Nil;
-  Array.fill t.bitmap 0 (Array.length t.bitmap) 0;
-  t.buf <- [||];
-  buf_reset t;
-  t.floor <- 0;
-  t.current_tick <- 0;
-  t.cached_min <- -1;
-  t.size <- 0;
-  t.dead_count <- 0

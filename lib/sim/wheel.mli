@@ -1,5 +1,4 @@
-(** Hierarchical timing wheel used as the simulator's event queue at
-    scale.
+(** Hierarchical timing wheel: the engine's event queue.
 
     Eight levels of 256 slots cover the full non-negative tick range;
     an entry is filed at the level of the highest byte in which its
@@ -8,14 +7,16 @@
     level-0 slot at a time into a FIFO buffer, occasionally cascading a
     higher-level slot down one level.
 
-    The observable behaviour — pop order among equal ticks, husk
-    handling for cancelled entries, the compaction threshold — matches
-    {!Pqueue} exactly (see {!Queue_sig.S}), so the engine can switch
-    between the two without changing a single trace. The extra
-    constraints the wheel imposes, priorities non-negative and never
-    below the last popped one, are precisely the discipline a
-    virtual-time engine already follows; violations raise
-    [Invalid_argument]. *)
+    Observably the wheel is a priority queue on (priority, insertion
+    order): entries pop in priority order, FIFO among equal priorities.
+    Cancelled entries stay queued as husks until popped or compacted
+    away; once at least 16 entries are queued and more than half of
+    them are known dead, the wheel drops them all. The differential
+    test in [test/test_sim.ml] holds it to a plain reference queue with
+    the same order and the same husk accounting. The wheel's own
+    constraints, priorities non-negative and never below the last
+    popped one, are exactly the discipline a virtual-time engine
+    follows; violations raise [Invalid_argument]. *)
 
 type 'a t
 
@@ -37,30 +38,25 @@ val note_dead : 'a t -> unit
     compaction that drops every entry for which the [dead] predicate
     holds. Call at most once per logically cancelled entry. *)
 
-val compact : 'a t -> unit
-(** Force a sweep dropping dead entries now. No-op without a [dead]
-    predicate. O(n + slots). *)
-
 val min_prio : 'a t -> int
 (** Priority of the minimum entry, or [max_int] ([Time.infinity]) when
-    the wheel is empty. Does not advance the wheel; allocation-free
-    except when a cascaded slot's minimum must be recomputed. *)
+    the wheel is empty — never a queued priority, since {!add} rejects
+    it. Does not advance the wheel; allocation-free except when a
+    cascaded slot's minimum must be recomputed. *)
 
 val pop : 'a t -> 'a
 (** Remove the minimum entry, FIFO among equal priorities, and return
     its value (its priority is what {!min_prio} answered just before).
-    Amortised O(1). Dead entries are returned like any other (the
-    caller skips them); popping one decrements the dead-entry count.
+    Amortised O(1). Together with {!min_prio} this keeps the engine's
+    per-event queue traffic free of option and pair allocations. Dead
+    entries are returned like any other (the caller skips them);
+    popping one decrements the dead-entry count.
     @raise Invalid_argument on an empty wheel. *)
 
 val size : 'a t -> int
 (** Entries currently queued, including dead husks not yet reclaimed
     by compaction. *)
 
-val is_empty : 'a t -> bool
-
 val floor : 'a t -> int
 (** The last popped tick — no queued entry is below it. Exposed for
     tests and diagnostics. *)
-
-val clear : 'a t -> unit

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: Time, Rng, Pqueue, Engine, Trace. *)
+(* Tests for the simulation substrate: Time, Rng, Wheel, Engine, Trace. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -164,140 +164,28 @@ let rng_stream_recorded () =
         "8ccb5d3fc1af5c2157ecd9b6685211b6", "ab4414f5a75c941f86d1d40a017eb02d" );
     ]
 
-(* ------------------------------ Pqueue ----------------------------- *)
+(* ------------------------------ Wheel ------------------------------ *)
 
 (* The queues answer min_prio (max_int when empty) and pop the value;
    the tests compare (priority, value) pairs and options of them. *)
-let pq_peek q = if Sim.Pqueue.is_empty q then None else Some (Sim.Pqueue.min_prio q)
-let pq_pop q = Option.map (fun p -> (p, Sim.Pqueue.pop q)) (pq_peek q)
-let wh_peek q = if Sim.Wheel.is_empty q then None else Some (Sim.Wheel.min_prio q)
+let wh_peek q = match Sim.Wheel.min_prio q with p when p = max_int -> None | p -> Some p
 let wh_pop q = Option.map (fun p -> (p, Sim.Wheel.pop q)) (wh_peek q)
+let ref_peek q = match Queue_reference.min_prio q with p when p = max_int -> None | p -> Some p
+let ref_pop q = Option.map (fun p -> (p, Queue_reference.pop q)) (ref_peek q)
 
-let pqueue_orders () =
-  let q = Sim.Pqueue.create () in
-  List.iter (fun p -> Sim.Pqueue.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
-  let order = List.init 5 (fun _ -> fst (Option.get (pq_pop q))) in
-  check (Alcotest.list int) "min-heap order" [ 1; 1; 3; 4; 5 ] order;
-  check bool "now empty" true (Sim.Pqueue.is_empty q)
-
-let pqueue_fifo_ties () =
-  let q = Sim.Pqueue.create () in
-  List.iteri (fun i label -> Sim.Pqueue.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (pq_pop q)))) in
-  check (Alcotest.list Alcotest.string) "FIFO among equal priorities" [ "a"; "b"; "c"; "d" ] labels
-
-let pqueue_interleaved () =
-  let q = Sim.Pqueue.create () in
-  Sim.Pqueue.add q ~prio:10 10;
-  Sim.Pqueue.add q ~prio:1 1;
-  check (Alcotest.option int) "peek min" (Some 1) (pq_peek q);
-  ignore (pq_pop q);
-  Sim.Pqueue.add q ~prio:5 5;
-  check int "size" 2 (Sim.Pqueue.size q);
-  check (Alcotest.option int) "next is 5" (Some 5) (pq_peek q)
-
-let pqueue_empty_pop () =
-  let q = Sim.Pqueue.create () in
-  check int "min_prio of empty is Time.infinity" Sim.Time.infinity (Sim.Pqueue.min_prio q);
-  check bool "pop empty raises" true
-    (match Sim.Pqueue.pop q with _ -> false | exception Invalid_argument _ -> true);
-  let w = Sim.Wheel.create () in
-  check int "wheel min_prio of empty is Time.infinity" Sim.Time.infinity (Sim.Wheel.min_prio w);
-  check bool "wheel pop empty raises" true
-    (match Sim.Wheel.pop w with _ -> false | exception Invalid_argument _ -> true)
-
-let pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue: drains any multiset in sorted order" ~count:200
-    QCheck.(list small_nat)
-    (fun prios ->
-      let q = Sim.Pqueue.create () in
-      List.iter (fun p -> Sim.Pqueue.add q ~prio:p p) prios;
-      let rec drain acc =
-        match pq_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare prios)
-
-let pqueue_clear () =
-  let q = Sim.Pqueue.create () in
-  for i = 1 to 50 do
-    Sim.Pqueue.add q ~prio:i i
-  done;
-  Sim.Pqueue.clear q;
-  check int "cleared" 0 (Sim.Pqueue.size q);
-  Sim.Pqueue.add q ~prio:1 1;
-  check int "usable after clear" 1 (Sim.Pqueue.size q)
-
-let pqueue_compacts_when_mostly_dead () =
-  let dead = Hashtbl.create 64 in
-  let q = Sim.Pqueue.create ~dead:(Hashtbl.mem dead) () in
-  for i = 0 to 99 do
-    Sim.Pqueue.add q ~prio:i i
-  done;
-  check int "full before cancellations" 100 (Sim.Pqueue.size q);
-  for i = 0 to 59 do
-    Hashtbl.replace dead i ();
-    Sim.Pqueue.note_dead q
-  done;
-  check bool "husks reclaimed" true (Sim.Pqueue.size q < 100);
-  check bool "live entries kept" true (Sim.Pqueue.size q >= 40);
-  let rec drain acc =
-    match pq_pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (if Hashtbl.mem dead v then acc else v :: acc)
+(* Drains [q] and keeps the values [keep] accepts, in pop order. *)
+let wh_drain ?(keep = fun _ -> true) q =
+  let rec go acc =
+    match wh_pop q with None -> List.rev acc | Some (_, v) -> go (if keep v then v :: acc else acc)
   in
-  check (Alcotest.list int) "live order preserved" (List.init 40 (fun i -> 60 + i)) (drain [])
-
-let pqueue_forced_compact () =
-  let dead = Hashtbl.create 8 in
-  let q = Sim.Pqueue.create ~dead:(Hashtbl.mem dead) () in
-  List.iteri (fun i p -> Sim.Pqueue.add q ~prio:p (i, p)) [ 5; 1; 4; 1; 3 ];
-  Hashtbl.replace dead (2, 4) ();
-  Sim.Pqueue.note_dead q;
-  Sim.Pqueue.compact q;
-  check int "husk dropped" 4 (Sim.Pqueue.size q);
-  let order = List.init 4 (fun _ -> snd (snd (Option.get (pq_pop q)))) in
-  check (Alcotest.list int) "order and FIFO ties survive compaction" [ 1; 1; 3; 5 ] order
-
-let pqueue_compaction_agrees =
-  (* Draining a compacting queue after arbitrary cancellations yields the
-     same live sequence as filtering a plain queue's drain. *)
-  QCheck.Test.make ~name:"pqueue: compaction never changes the live drain" ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 0 60) (int_bound 20)) (int_bound 1000))
-    (fun (prios, salt) ->
-      let dead = Hashtbl.create 16 in
-      let is_dead (i, _) = Hashtbl.mem dead i in
-      let q = Sim.Pqueue.create ~dead:is_dead () in
-      let plain = Sim.Pqueue.create () in
-      List.iteri
-        (fun i p ->
-          Sim.Pqueue.add q ~prio:p (i, p);
-          Sim.Pqueue.add plain ~prio:p (i, p))
-        prios;
-      List.iteri
-        (fun i _ ->
-          if ((i * 7919) + salt) mod 7 < 4 then begin
-            Hashtbl.replace dead i ();
-            Sim.Pqueue.note_dead q
-          end)
-        prios;
-      let drain queue =
-        let rec go acc =
-          match pq_pop queue with
-          | None -> List.rev acc
-          | Some (_, v) -> go (if is_dead v then acc else v :: acc)
-        in
-        go []
-      in
-      drain q = drain plain)
-
-(* ------------------------------ Wheel ------------------------------ *)
+  go []
 
 let wheel_orders () =
   let q = Sim.Wheel.create () in
   List.iter (fun p -> Sim.Wheel.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
   let order = List.init 5 (fun _ -> fst (Option.get (wh_pop q))) in
   check (Alcotest.list int) "sorted" [ 1; 1; 3; 4; 5 ] order;
-  check bool "now empty" true (Sim.Wheel.is_empty q)
+  check int "now empty" 0 (Sim.Wheel.size q)
 
 let wheel_fifo_ties () =
   let q = Sim.Wheel.create () in
@@ -305,6 +193,95 @@ let wheel_fifo_ties () =
   let labels = List.init 4 (fun _ -> snd (snd (Option.get (wh_pop q)))) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
     labels
+
+let wheel_interleaved () =
+  let q = Sim.Wheel.create () in
+  Sim.Wheel.add q ~prio:10 10;
+  Sim.Wheel.add q ~prio:1 1;
+  check (Alcotest.option int) "peek min" (Some 1) (wh_peek q);
+  ignore (wh_pop q);
+  Sim.Wheel.add q ~prio:5 5;
+  check int "size" 2 (Sim.Wheel.size q);
+  check (Alcotest.option int) "next is 5" (Some 5) (wh_peek q)
+
+let wheel_empty_pop () =
+  let q = Sim.Wheel.create () in
+  check int "min_prio of empty is Time.infinity" Sim.Time.infinity (Sim.Wheel.min_prio q);
+  check bool "pop empty raises" true
+    (match Sim.Wheel.pop q with _ -> false | exception Invalid_argument _ -> true)
+
+let wheel_sorts =
+  QCheck.Test.make ~name:"wheel: drains any multiset in sorted order" ~count:200
+    QCheck.(list small_nat)
+    (fun prios ->
+      let q = Sim.Wheel.create () in
+      List.iter (fun p -> Sim.Wheel.add q ~prio:p p) prios;
+      wh_drain q = List.sort compare prios)
+
+let wheel_compacts_when_mostly_dead () =
+  let dead = Hashtbl.create 64 in
+  let q = Sim.Wheel.create ~dead:(Hashtbl.mem dead) () in
+  for i = 0 to 99 do
+    Sim.Wheel.add q ~prio:i i
+  done;
+  check int "full before cancellations" 100 (Sim.Wheel.size q);
+  for i = 0 to 59 do
+    Hashtbl.replace dead i ();
+    Sim.Wheel.note_dead q
+  done;
+  check bool "husks reclaimed" true (Sim.Wheel.size q < 100);
+  check bool "live entries kept" true (Sim.Wheel.size q >= 40);
+  check (Alcotest.list int) "live order preserved" (List.init 40 (fun i -> 60 + i))
+    (wh_drain ~keep:(fun v -> not (Hashtbl.mem dead v)) q)
+
+(* The note that tips the dead count past half the queue compacts it on
+   the spot: no husk survives, and order and FIFO ties are kept. *)
+let wheel_forced_compact () =
+  let dead = Hashtbl.create 16 in
+  let q = Sim.Wheel.create ~dead:(Hashtbl.mem dead) () in
+  let prios = List.init 20 (fun i -> [| 5; 1; 4; 1; 3 |].(i mod 5)) in
+  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
+  let kill k =
+    Hashtbl.replace dead k ();
+    Sim.Wheel.note_dead q
+  in
+  for k = 0 to 9 do
+    kill (k, List.nth prios k)
+  done;
+  check int "half dead: husks still queued" 20 (Sim.Wheel.size q);
+  kill (10, List.nth prios 10);
+  check int "one more: every husk dropped" 9 (Sim.Wheel.size q);
+  let expected =
+    List.filteri (fun i _ -> i > 10) (List.mapi (fun i p -> (i, p)) prios)
+    |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+  in
+  check (Alcotest.list (Alcotest.pair int int)) "order and FIFO ties survive compaction" expected
+    (wh_drain q)
+
+let wheel_compaction_agrees =
+  (* Draining a compacting queue after arbitrary cancellations yields the
+     same live sequence as filtering a plain queue's drain. *)
+  QCheck.Test.make ~name:"wheel: compaction never changes the live drain" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 0 60) (int_bound 20)) (int_bound 1000))
+    (fun (prios, salt) ->
+      let dead = Hashtbl.create 16 in
+      let is_dead (i, _) = Hashtbl.mem dead i in
+      let q = Sim.Wheel.create ~dead:is_dead () in
+      let plain = Sim.Wheel.create () in
+      List.iteri
+        (fun i p ->
+          Sim.Wheel.add q ~prio:p (i, p);
+          Sim.Wheel.add plain ~prio:p (i, p))
+        prios;
+      List.iteri
+        (fun i _ ->
+          if ((i * 7919) + salt) mod 7 < 4 then begin
+            Hashtbl.replace dead i ();
+            Sim.Wheel.note_dead q
+          end)
+        prios;
+      let live v = not (is_dead v) in
+      wh_drain ~keep:live q = wh_drain ~keep:live plain)
 
 (* Priorities spanning every wheel level, including ticks far beyond the
    low levels' horizon, drain in global order with ties FIFO. *)
@@ -314,11 +291,8 @@ let wheel_multilevel_spans () =
     [ 0; 255; 256; 257; 65_535; 65_536; 1; 16_777_215; 16_777_216; (1 lsl 40) + 3; 1 lsl 40 ]
   in
   List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
-  let rec drain acc =
-    match wh_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
   check (Alcotest.list int) "global order across levels"
-    (List.sort compare prios) (drain [])
+    (List.sort compare prios) (List.map snd (wh_drain q))
 
 let wheel_floor_rejects_past () =
   let q = Sim.Wheel.create () in
@@ -336,27 +310,25 @@ let wheel_floor_rejects_past () =
   check (Alcotest.option int) "same-tick add lands at the floor" (Some 100)
     (wh_peek q)
 
-let wheel_matches_pqueue =
-  (* The engine promises the wheel is a drop-in replacement for the heap:
+let wheel_matches_reference =
+  (* The wheel must behave exactly like the plain reference queue:
      identical pop streams — husks included — identical peeks, identical
      sizes, under arbitrary interleavings of add / pop / cancel with the
      shared dead-husk compaction policy. *)
-  QCheck.Test.make ~name:"wheel: bit-identical to pqueue on random workloads" ~count:300
+  QCheck.Test.make ~name:"wheel: bit-identical to the reference queue on random workloads"
+    ~count:300
     QCheck.(pair (list_of_size Gen.(int_range 0 120) (int_bound 100_000)) (int_bound 10_000))
     (fun (codes, salt) ->
       let dead = Hashtbl.create 16 in
       let is_dead (i, _) = Hashtbl.mem dead i in
       let w = Sim.Wheel.create ~dead:is_dead () in
-      let p = Sim.Pqueue.create ~dead:is_dead () in
+      let r = Queue_reference.create ~dead:is_dead () in
       let now = ref 0 in
       let idx = ref 0 in
       let added = ref [] in
       let ok = ref true in
       let agree () =
-        ok :=
-          !ok
-          && wh_peek w = pq_peek p
-          && Sim.Wheel.size w = Sim.Pqueue.size p
+        ok := !ok && wh_peek w = ref_peek r && Sim.Wheel.size w = Queue_reference.size r
       in
       List.iter
         (fun code ->
@@ -373,9 +345,9 @@ let wheel_matches_pqueue =
               incr idx;
               added := fst v :: !added;
               Sim.Wheel.add w ~prio v;
-              Sim.Pqueue.add p ~prio v
+              Queue_reference.add r ~prio v
           | 1 -> (
-              let a = wh_pop w and b = pq_pop p in
+              let a = wh_pop w and b = ref_pop r in
               ok := !ok && a = b;
               match a with Some (t, _) -> now := t | None -> ())
           | _ -> (
@@ -386,12 +358,12 @@ let wheel_matches_pqueue =
                   if not (Hashtbl.mem dead k) then begin
                     Hashtbl.replace dead k ();
                     Sim.Wheel.note_dead w;
-                    Sim.Pqueue.note_dead p
+                    Queue_reference.note_dead r
                   end));
           agree ())
         codes;
       let rec drain () =
-        let a = wh_pop w and b = pq_pop p in
+        let a = wh_pop w and b = ref_pop r in
         ok := !ok && a = b;
         if a <> None then drain ()
       in
@@ -401,32 +373,26 @@ let wheel_matches_pqueue =
 (* ------------------------------ Engine ----------------------------- *)
 
 (* Scheduling and firing a no-op event allocates the event record
-   (3 words; it is also the cancellation handle) and the queue's node
-   for it (the wheel's 5-word linked node, the heap's 4-word entry), and
-   nothing else. Many events stay pending throughout, so the wheel
-   files, cascades and drains as in a run. *)
+   (3 words; it is also the cancellation handle) and the wheel's 5-word
+   linked node for it, and nothing else. Many events stay pending
+   throughout, so the wheel files, cascades and drains as in a run. *)
 let engine_noop_event_allocation () =
-  List.iter
-    (fun (backend, name) ->
-      let engine = Sim.Engine.create ~backend () in
-      let fired = ref 0 in
-      (* 64 chains of self-rescheduling events with delays up to 300
-         ticks: the one [tick] closure is built here, not per event. *)
-      let rec tick () =
-        incr fired;
-        if !fired < 50_000 then
-          ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!fired * 7919 mod 300)) tick)
-      in
-      for i = 1 to 64 do
-        ignore (Sim.Engine.schedule engine ~at:i tick)
-      done;
-      let w0 = Gc.minor_words () in
-      Sim.Engine.run_all engine;
-      let words = (Gc.minor_words () -. w0) /. float_of_int !fired in
-      check bool
-        (Printf.sprintf "%s: %.2f words per fired no-op event <= 8" name words)
-        true (words <= 8.))
-    [ (`Wheel, "wheel"); (`Heap, "heap") ]
+  let engine = Sim.Engine.create () in
+  let fired = ref 0 in
+  (* 64 chains of self-rescheduling events with delays up to 300 ticks:
+     the one [tick] closure is built here, not per event. *)
+  let rec tick () =
+    incr fired;
+    if !fired < 50_000 then
+      ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!fired * 7919 mod 300)) tick)
+  in
+  for i = 1 to 64 do
+    ignore (Sim.Engine.schedule engine ~at:i tick)
+  done;
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run_all engine;
+  let words = (Gc.minor_words () -. w0) /. float_of_int !fired in
+  check bool (Printf.sprintf "%.2f words per fired no-op event <= 8" words) true (words <= 8.)
 
 let engine_fires_in_order () =
   let engine = Sim.Engine.create () in
@@ -508,6 +474,22 @@ let engine_mass_cancel () =
   check int "processed counts only real firings" 50 (Sim.Engine.processed engine);
   check int "clock stops at the last live event" 197 (Sim.Engine.now engine)
 
+(* Regression: an owner that did not fit the event's 21-bit owner field
+   used to be silently recorded as "ownerless". *)
+let engine_rejects_unpackable_owner () =
+  let engine = Sim.Engine.create () in
+  let limit = (1 lsl 21) - 2 in
+  ignore (Sim.Engine.schedule engine ~owner:limit ~at:1 ignore);
+  ignore (Sim.Engine.schedule engine ~owner:(-1) ~at:1 ignore);
+  List.iter
+    (fun owner ->
+      Alcotest.check_raises (Printf.sprintf "owner %d rejected" owner)
+        (Invalid_argument
+           (Printf.sprintf "Engine.schedule: owner=%d is outside the 21-bit owner field" owner))
+        (fun () -> ignore (Sim.Engine.schedule engine ~owner ~at:1 ignore)))
+    [ limit + 1; 1 lsl 40; -2 ];
+  check int "only the valid events queued" 2 (Sim.Engine.pending engine)
+
 let engine_infinity_noop () =
   let engine = Sim.Engine.create () in
   ignore (Sim.Engine.schedule engine ~at:Sim.Time.infinity (fun () -> Alcotest.fail "fired"));
@@ -518,8 +500,8 @@ let engine_infinity_noop () =
    reachable from the queue husk until the tick came due; with long
    timeouts that pinned arbitrarily large captured state. The action must
    be collectable the moment it is cancelled. *)
-let engine_cancel_releases_closure backend () =
-  let engine = Sim.Engine.create ~backend () in
+let engine_cancel_releases_closure () =
+  let engine = Sim.Engine.create () in
   let weak = Weak.create 1 in
   let id =
     (* Build the closure in a local scope so the only strong reference to
@@ -535,52 +517,14 @@ let engine_cancel_releases_closure backend () =
   Gc.full_major ();
   check bool "cancelled action is collectable before its tick" true (Weak.get weak 0 = None)
 
-(* The two queue backends must drive identical executions: same firing
-   order, same clock, same processed count, on randomized workloads whose
-   handlers reschedule and cancel. *)
-let engine_backends_agree =
-  QCheck.Test.make ~name:"engine: heap and wheel backends fire identically" ~count:60
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let run backend =
-        let engine = Sim.Engine.create ~backend () in
-        let rng = Sim.Rng.create (Int64.of_int seed) in
-        let log = ref [] in
-        let pending = ref [] in
-        let budget = ref 0 in
-        let rec handler tag () =
-          log := (tag, Sim.Engine.now engine) :: !log;
-          if !budget < 400 then begin
-            let fanout = Sim.Rng.int rng 3 in
-            for _ = 1 to fanout do
-              incr budget;
-              let delay = Sim.Rng.int rng 5_000 in
-              let tag = !budget in
-              pending := Sim.Engine.schedule_after engine ~delay (handler tag) :: !pending
-            done;
-            (* Occasionally cancel one of the remembered events (it may
-               already have fired; cancel must be idempotent either way). *)
-            if Sim.Rng.int rng 4 = 0 then
-              match !pending with
-              | [] -> ()
-              | l -> Sim.Engine.cancel engine (List.nth l (Sim.Rng.int rng (List.length l)))
-          end
-        in
-        for i = 1 to 10 do
-          ignore (Sim.Engine.schedule engine ~at:(Sim.Rng.int rng 1_000) (handler (-i)))
-        done;
-        Sim.Engine.run_all engine;
-        (List.rev !log, Sim.Engine.now engine, Sim.Engine.processed engine)
-      in
-      run `Heap = run `Wheel)
-
 (* ------------------------ Infinity boundary ------------------------ *)
 
 (* Regression: [Time.infinity] is [max_int], and an event inserted at
    that priority used to sit in the queue as a real event that could
    never fire (the wheel's find-min also uses max_int as its sentinel).
-   Both backends must reject it outright, while every finite tick up to
-   [max_int - 1] stays representable. *)
+   The wheel must reject it outright, and so must the reference queue it
+   is held to, while every finite tick up to [max_int - 1] stays
+   representable. *)
 let queue_rejects_infinity () =
   let w = Sim.Wheel.create () in
   let rejected = match Sim.Wheel.add w ~prio:max_int "inf" with
@@ -592,22 +536,22 @@ let queue_rejects_infinity () =
   check (Alcotest.option (Alcotest.pair int Alcotest.string)) "wheel pops max_int - 1"
     (Some (max_int - 1, "last"))
     (wh_pop w);
-  let p = Sim.Pqueue.create () in
-  let rejected = match Sim.Pqueue.add p ~prio:max_int "inf" with
+  let r = Queue_reference.create ~dead:(fun _ -> false) () in
+  let rejected = match Queue_reference.add r ~prio:max_int "inf" with
     | () -> false
     | exception Invalid_argument _ -> true
   in
-  check bool "pqueue rejects prio = max_int" true rejected;
-  Sim.Pqueue.add p ~prio:(max_int - 1) "last";
-  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "pqueue pops max_int - 1"
+  check bool "reference rejects prio = max_int" true rejected;
+  Queue_reference.add r ~prio:(max_int - 1) "last";
+  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "reference pops max_int - 1"
     (Some (max_int - 1, "last"))
-    (pq_pop p)
+    (ref_pop r)
 
 (* [Time.add] saturates to infinity, so a huge relative delay is a
    well-defined "never": schedule_after must become the infinity no-op
    rather than overflowing into the past or inserting max_int. *)
-let engine_saturated_delay_noop backend () =
-  let engine = Sim.Engine.create ~backend () in
+let engine_saturated_delay_noop () =
+  let engine = Sim.Engine.create () in
   ignore (Sim.Engine.schedule engine ~at:10 (fun () -> ()));
   Sim.Engine.run_all engine;
   ignore (Sim.Engine.schedule_after engine ~delay:max_int (fun () -> Alcotest.fail "fired"));
@@ -758,20 +702,17 @@ let suite =
     Alcotest.test_case "rng: exponential positive" `Quick rng_exponential_positive;
     QCheck_alcotest.to_alcotest rng_ranges;
     QCheck_alcotest.to_alcotest rng_float_range;
-    Alcotest.test_case "pqueue: orders by priority" `Quick pqueue_orders;
-    Alcotest.test_case "pqueue: FIFO ties" `Quick pqueue_fifo_ties;
-    Alcotest.test_case "pqueue: interleaved ops" `Quick pqueue_interleaved;
-    Alcotest.test_case "pqueue: empty pops" `Quick pqueue_empty_pop;
-    Alcotest.test_case "pqueue: clear" `Quick pqueue_clear;
-    QCheck_alcotest.to_alcotest pqueue_sorts;
-    Alcotest.test_case "pqueue: compacts when mostly dead" `Quick pqueue_compacts_when_mostly_dead;
-    Alcotest.test_case "pqueue: forced compaction" `Quick pqueue_forced_compact;
-    QCheck_alcotest.to_alcotest pqueue_compaction_agrees;
     Alcotest.test_case "wheel: orders by priority" `Quick wheel_orders;
     Alcotest.test_case "wheel: FIFO ties" `Quick wheel_fifo_ties;
+    Alcotest.test_case "wheel: interleaved ops" `Quick wheel_interleaved;
+    Alcotest.test_case "wheel: empty pops" `Quick wheel_empty_pop;
+    QCheck_alcotest.to_alcotest wheel_sorts;
+    Alcotest.test_case "wheel: compacts when mostly dead" `Quick wheel_compacts_when_mostly_dead;
+    Alcotest.test_case "wheel: forced compaction through note_dead" `Quick wheel_forced_compact;
+    QCheck_alcotest.to_alcotest wheel_compaction_agrees;
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
-    QCheck_alcotest.to_alcotest wheel_matches_pqueue;
+    QCheck_alcotest.to_alcotest wheel_matches_reference;
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
     Alcotest.test_case "engine: a no-op event allocates its record and node only" `Quick
       engine_noop_event_allocation;
@@ -782,22 +723,19 @@ let suite =
     Alcotest.test_case "engine: handlers schedule more events" `Quick engine_nested_scheduling;
     Alcotest.test_case "engine: mass cancellation compacts" `Quick engine_mass_cancel;
     Alcotest.test_case "engine: infinity is a no-op" `Quick engine_infinity_noop;
+    Alcotest.test_case "engine: rejects owners outside the owner field" `Quick
+      engine_rejects_unpackable_owner;
     Alcotest.test_case "queues: reject prio = infinity, keep max_int - 1" `Quick
       queue_rejects_infinity;
-    Alcotest.test_case "engine: saturated delay is a no-op (heap)" `Quick
-      (engine_saturated_delay_noop `Heap);
     Alcotest.test_case "engine: saturated delay is a no-op (wheel)" `Quick
-      (engine_saturated_delay_noop `Wheel);
+      engine_saturated_delay_noop;
     Alcotest.test_case "engine: staged stepping equals the legacy loop" `Quick
       engine_staged_matches_legacy;
     Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
     Alcotest.test_case "engine: staged traces byte-identical" `Quick
       engine_staged_traces_identical;
-    Alcotest.test_case "engine: cancel releases the closure (heap)" `Quick
-      (engine_cancel_releases_closure `Heap);
     Alcotest.test_case "engine: cancel releases the closure (wheel)" `Quick
-      (engine_cancel_releases_closure `Wheel);
-    QCheck_alcotest.to_alcotest engine_backends_agree;
+      engine_cancel_releases_closure;
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
     Alcotest.test_case "trace: collects records" `Quick trace_collects;
     Alcotest.test_case "trace: callback sink" `Quick trace_sink;
