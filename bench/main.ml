@@ -9,6 +9,15 @@
      algorithm itself, one Test.make per benchmark. *)
 
 open Bechamel
+
+(* Wall-clock seconds of [f ()] on the monotonic clock, and the process
+   CPU seconds it took ([Sys.time], summed over every domain, so a
+   parallel section reads more CPU than wall). *)
+let timed f =
+  let w0 = Monotonic_clock.now () and c0 = Sys.time () in
+  let r = f () in
+  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) w0) *. 1e-9 in
+  (r, wall, Sys.time () -. c0)
 open Toolkit
 
 let scenario_bench name scenario =
@@ -179,13 +188,8 @@ let run_mc () =
   List.iter
     (fun (label, graph, colors, sessions, crash_budget, fp_budget, max_states) ->
       let cfg = { Mcheck.Model.graph; colors; sessions; crash_budget; fp_budget } in
-      let timed f =
-        let t0 = Sys.time () in
-        let r = f () in
-        (r, Sys.time () -. t0)
-      in
-      let b, bfs_t = timed (fun () -> Mcheck.Explore.bfs ~max_states cfg) in
-      let d, dpor_t = timed (fun () -> Mcheck.Dpor.explore ~max_states cfg) in
+      let b, bfs_t, _ = timed (fun () -> Mcheck.Explore.bfs ~max_states cfg) in
+      let d, dpor_t, _ = timed (fun () -> Mcheck.Dpor.explore ~max_states cfg) in
       assert (b.Mcheck.Explore.states = d.Mcheck.Explore.states);
       assert (b.violation = None && d.violation = None);
       Stats.Table.add_row reduction_table
@@ -391,7 +395,8 @@ type scale_cell = {
   cell_eats : int;
   alloc_words : int;  (* words allocated by create+run+report: exact *)
   live_words : int;   (* live-heap delta while the world is alive: advisory *)
-  seconds : float;
+  seconds : float; (* wall clock *)
+  cpu_seconds : float;
 }
 
 let words_of_bytes b = int_of_float (b /. float_of_int (Sys.word_size / 8))
@@ -409,11 +414,12 @@ let run_scale_cell ~measure_live spec =
     else 0
   in
   let alloc0 = Gc.allocated_bytes () in
-  let t0 = Sys.time () in
-  let w = Harness.World.create scenario in
-  Harness.World.advance w ~until:scenario.horizon;
-  let r = Harness.World.report w in
-  let seconds = Sys.time () -. t0 in
+  let r, seconds, cpu_seconds =
+    timed (fun () ->
+        let w = Harness.World.create scenario in
+        Harness.World.advance w ~until:scenario.horizon;
+        Harness.World.report w)
+  in
   let alloc_words = words_of_bytes (Gc.allocated_bytes () -. alloc0) in
   let live_words =
     if measure_live then begin
@@ -431,6 +437,7 @@ let run_scale_cell ~measure_live spec =
     alloc_words;
     live_words;
     seconds;
+    cpu_seconds;
   }
 
 (* Engine-only throughput: a storm of [storm_chains] self-rescheduling
@@ -440,20 +447,25 @@ let storm_chains = 4_096
 
 let engine_storm () =
   let alloc0 = Gc.allocated_bytes () in
-  let t0 = Sys.time () in
-  let engine = Sim.Engine.create () in
-  let count = ref 0 in
-  let rec tick () =
-    incr count;
-    if !count <= 400_000 then
-      ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!count * 7919 mod 2_000)) tick)
+  let engine, seconds, cpu_seconds =
+    timed (fun () ->
+        let engine = Sim.Engine.create () in
+        let count = ref 0 in
+        let rec tick () =
+          incr count;
+          if !count <= 400_000 then
+            ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!count * 7919 mod 2_000)) tick)
+        in
+        for i = 0 to storm_chains - 1 do
+          ignore (Sim.Engine.schedule engine ~at:i tick)
+        done;
+        Sim.Engine.run_all engine;
+        engine)
   in
-  for i = 0 to storm_chains - 1 do
-    ignore (Sim.Engine.schedule engine ~at:i tick)
-  done;
-  Sim.Engine.run_all engine;
-  let seconds = Sys.time () -. t0 in
-  (Sim.Engine.processed engine, words_of_bytes (Gc.allocated_bytes () -. alloc0), seconds)
+  ( Sim.Engine.processed engine,
+    words_of_bytes (Gc.allocated_bytes () -. alloc0),
+    seconds,
+    cpu_seconds )
 
 let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   print_endline
@@ -471,30 +483,31 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
-  let storm_events, storm_alloc, storm_s = engine_storm () in
+  let storm_events, storm_alloc, storm_s, storm_cpu = engine_storm () in
   Report.int report "engine.storm.chains" storm_chains;
   Report.int report "engine.storm.events" storm_events;
   Report.int report "engine.storm.alloc_words" storm_alloc;
   Report.float report "engine.storm.run_seconds" storm_s;
+  Report.float report "engine.storm.cpu_seconds" storm_cpu;
   (* Model-checker throughput. *)
   let mc_alloc0 = Gc.allocated_bytes () in
-  let mc_t0 = Sys.time () in
-  let mc =
-    Mcheck.Explore.bfs
-      {
-        Mcheck.Model.graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ];
-        colors = [| 0; 1 |];
-        sessions = 2;
-        crash_budget = 0;
-        fp_budget = 0;
-      }
+  let mc, mc_s, mc_cpu =
+    timed (fun () ->
+        Mcheck.Explore.bfs
+          {
+            Mcheck.Model.graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ];
+            colors = [| 0; 1 |];
+            sessions = 2;
+            crash_budget = 0;
+            fp_budget = 0;
+          })
   in
-  let mc_s = Sys.time () -. mc_t0 in
   Report.int report "mcheck.pair2.states" mc.Mcheck.Explore.states;
   Report.int report "mcheck.pair2.transitions" mc.transitions;
   Report.int report "mcheck.pair2.alloc_words"
     (words_of_bytes (Gc.allocated_bytes () -. mc_alloc0));
   Report.float report "mcheck.pair2.run_seconds" mc_s;
+  Report.float report "mcheck.pair2.cpu_seconds" mc_cpu;
   (* The sweep itself. *)
   let columns =
     [
@@ -525,6 +538,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
       Report.int report (prefix ^ ".eats") c.cell_eats;
       Report.int report (prefix ^ ".alloc_words") c.alloc_words;
       Report.float report (prefix ^ ".run_seconds") c.seconds;
+      Report.float report (prefix ^ ".cpu_seconds") c.cpu_seconds;
       Report.float report (prefix ^ ".events_per_sec")
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
       if not smoke then Report.int report (prefix ^ ".live_words") c.live_words;
@@ -553,13 +567,15 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
      before the first spawn. The campaign counts themselves are identical
      for any --domains (the pool's contract), so no allocation metric is
      recorded for this section. *)
-  let fz_t0 = Sys.time () in
-  let fz = Fuzz.Campaign.run ~domains:ctx.domains ~profile:Fuzz.Gen.Sound ~seed:11L ~cases:40 () in
-  let fz_s = Sys.time () -. fz_t0 in
+  let fz, fz_s, fz_cpu =
+    timed (fun () ->
+        Fuzz.Campaign.run ~domains:ctx.domains ~profile:Fuzz.Gen.Sound ~seed:11L ~cases:40 ())
+  in
   Report.int report "fuzz.sound40.cases" fz.Fuzz.Campaign.cases;
   Report.int report "fuzz.sound40.failures" (List.length fz.failures);
   Report.int report "fuzz.sound40.total_events" fz.total_events;
   Report.float report "fuzz.sound40.run_seconds" fz_s;
+  Report.float report "fuzz.sound40.cpu_seconds" fz_cpu;
   (* Sharded stepping on the shard-safe ping workload: the exact keys
      must agree for every shard count (the engine's merge contract), and
      the parallel pool run must equal the sequential one. Runs after the
@@ -589,16 +605,16 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   Report.int report "shard.ring-1000.parallel_matches" 1;
   if not smoke then begin
     (* Advisory wall-clock for the 10^6-process sharded step. *)
-    let t0 = Sys.time () in
-    let big =
-      Exec.Pool.with_pool ~domains:ctx.domains (fun pool ->
-          Harness.Shard_ping.run ~pool ~parallel:true ~shards:(max 2 ctx.domains)
-            ~topology:(Cgraph.Topology.Ring 1_000_000) ~horizon:30 ())
+    let big, dt, cpu =
+      timed (fun () ->
+          Exec.Pool.with_pool ~domains:ctx.domains (fun pool ->
+              Harness.Shard_ping.run ~pool ~parallel:true ~shards:(max 2 ctx.domains)
+                ~topology:(Cgraph.Topology.Ring 1_000_000) ~horizon:30 ()))
     in
-    let dt = Sys.time () -. t0 in
     Report.int report "shard.ring-1m.events" big.Harness.Shard_ping.events;
     Report.int report "shard.ring-1m.checksum" big.checksum;
-    Report.float report "shard.ring-1m.run_seconds" dt
+    Report.float report "shard.ring-1m.run_seconds" dt;
+    Report.float report "shard.ring-1m.cpu_seconds" cpu
   end;
   Stats.Table.print table;
   print_endline

@@ -105,15 +105,18 @@ let set_sharding t ~shards ~shard_of ~fire_rank ~fire_shard =
   t.fire_shard <- fire_shard;
   t.op_staging <- Array.init shards (fun _ -> { oa = [||]; on = 0 })
 
-let slot t src dst =
-  let s = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if s < 0 then
-    invalid_arg (Printf.sprintf "Link_stats: %d and %d are not neighbors" src dst);
-  s
-
-let check_kind t kind =
+(* The record_* calls take the directed slot the sender already looked
+   up, so a message costs no CSR search here. *)
+let check_slot_kind t slot kind =
+  if slot < 0 || slot >= Array.length t.d_sent then
+    invalid_arg (Printf.sprintf "Link_stats: bad directed slot %d" slot);
   if kind < 0 || kind >= kind_count t then
     invalid_arg (Printf.sprintf "Link_stats: bad kind index %d" kind)
+
+(* Endpoints of a directed slot: its target, and the target of its
+   reverse slot. *)
+let slot_dst t slot = Cgraph.Graph.slot_dst t.graph slot
+let slot_src t slot = Cgraph.Graph.slot_dst t.graph t.rev.(slot)
 
 let watch_dst t dst =
   if t.shards > 0 then invalid_arg "Link_stats.watch_dst: not shard-safe";
@@ -147,8 +150,9 @@ let stage_op t ~key =
   v.oa.(v.on) <- o;
   v.on <- v.on + 1
 
-let edge_update t ~src ~dst ~e ~ke ~send =
-  if t.shards = 0 || t.shard_of src = t.shard_of dst then apply_edge t ~e ~ke ~send
+let edge_update t ~slot ~e ~ke ~send =
+  if t.shards = 0 || t.shard_of (slot_src t slot) = t.shard_of (slot_dst t slot) then
+    apply_edge t ~e ~ke ~send
   else stage_op t ~key:((ke lsl 1) lor if send then 1 else 0)
 
 let flush_staged t =
@@ -173,37 +177,34 @@ let flush_staged t =
     end
   end
 
-let[@lint.hot] record_send t ~src ~dst ~kind ~at =
+let[@lint.hot] record_send t ~slot ~kind ~at =
   if t.shards = 0 then Obs.Metrics.incr t.m_sent;
-  check_kind t kind;
-  let s = slot t src dst in
-  t.d_sent.(s) <- t.d_sent.(s) + 1;
-  t.d_last_send.(s) <- at;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:true;
+  check_slot_kind t slot kind;
+  t.d_sent.(slot) <- t.d_sent.(slot) + 1;
+  t.d_last_send.(slot) <- at;
+  let e = Cgraph.Graph.slot_edge_id t.graph slot in
+  edge_update t ~slot ~e ~ke:((e * kind_count t) + kind) ~send:true;
   (* Watched destinations are a rare, experiment-only probe: with none
      watched, a send does not hash its destination at all. *)
   if Hashtbl.length t.watched > 0 then
-    match Hashtbl.find_opt t.watched dst with
+    match Hashtbl.find_opt t.watched (slot_dst t slot) with
     (* The cons is the probe's storage and only happens for watched dsts. *)
     | Some times -> times := (at :: !times [@lint.allow "hot-path-alloc"])
     | None -> ()
 
-let[@lint.hot] record_delivery t ~src ~dst ~kind ~at:_ =
+let[@lint.hot] record_delivery t ~slot ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_delivered;
-  check_kind t kind;
-  let s = slot t src dst in
-  t.d_delivered.(s) <- t.d_delivered.(s) + 1;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:false
+  check_slot_kind t slot kind;
+  t.d_delivered.(slot) <- t.d_delivered.(slot) + 1;
+  let e = Cgraph.Graph.slot_edge_id t.graph slot in
+  edge_update t ~slot ~e ~ke:((e * kind_count t) + kind) ~send:false
 
-let record_drop t ~src ~dst ~kind ~at:_ =
+let record_drop t ~slot ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_dropped;
-  check_kind t kind;
-  let s = slot t src dst in
-  t.d_dropped.(s) <- t.d_dropped.(s) + 1;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:false
+  check_slot_kind t slot kind;
+  t.d_dropped.(slot) <- t.d_dropped.(slot) + 1;
+  let e = Cgraph.Graph.slot_edge_id t.graph slot in
+  edge_update t ~slot ~e ~ke:((e * kind_count t) + kind) ~send:false
 
 (* Query accessors tolerate non-edges (returning 0): callers probe
    arbitrary pairs when summarizing. *)

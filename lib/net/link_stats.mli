@@ -28,10 +28,15 @@ val create : graph:Cgraph.Graph.t -> ?kinds:string array -> ?metrics:Obs.Metrics
     [net.dropped] counters into (default: a private registry). Several
     overlays sharing one registry aggregate into the same counters. *)
 
-val record_send : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
-val record_delivery : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
+val record_send : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+(** A message sent over directed slot [slot] ({!Cgraph.Graph.dir_index}
+    of its source and destination, which the caller has already looked
+    up for routing). Raises [Invalid_argument] for a slot or kind out of
+    range. *)
 
-val record_drop : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
+val record_delivery : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+
+val record_drop : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
 (** A message absorbed because its destination crashed: removed from the
     in-flight count without a delivery. *)
 

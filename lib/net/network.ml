@@ -56,16 +56,17 @@ let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     last_delivery = Array.make (Cgraph.Graph.dir_count graph) Sim.Time.zero;
   }
 
-let deliver t ~src ~dst msg =
+let deliver t ~src ~slot msg =
   let at = Sim.Engine.now t.engine in
   let kind = t.kind_index msg in
+  let dst = Cgraph.Graph.slot_dst t.graph slot in
   if Faults.is_crashed t.faults dst then begin
-    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
+    Link_stats.record_drop t.stats ~slot ~kind ~at;
     if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
     t.on_drop ~src ~dst msg
   end
   else begin
-    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
+    Link_stats.record_delivery t.stats ~slot ~kind ~at;
     if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
     t.handler ~dst ~src msg
   end
@@ -77,7 +78,7 @@ let send t ~src ~dst msg =
   if not (Faults.is_crashed t.faults src) then begin
     let now = Sim.Engine.now t.engine in
     let kind = t.kind_index msg in
-    Link_stats.record_send t.stats ~src ~dst ~kind ~at:now;
+    Link_stats.record_send t.stats ~slot ~kind ~at:now;
     let rng = if Array.length t.src_rngs = 0 then t.rng else t.src_rngs.(src) in
     let raw = Sim.Time.add now (Delay.sample t.delay rng ~now) in
     let at = Sim.Time.max raw t.last_delivery.(slot) in
@@ -86,10 +87,12 @@ let send t ~src ~dst msg =
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
     (* The delivery closure is the one allocation a send makes beyond
        the engine's event: it captures only what the send knows and the
-       delivery cannot recompute (the time is the engine's clock then,
-       the kind index a function of the message). *)
+       delivery cannot recompute cheaply (the time is the engine's clock
+       then, the kind index a function of the message, the destination
+       the slot's target). The slot is the one CSR search a message
+       costs. *)
     ignore
-      (Sim.Engine.schedule t.engine ~owner:dst ~at (fun () -> deliver t ~src ~dst msg))
+      (Sim.Engine.schedule t.engine ~owner:dst ~at (fun () -> deliver t ~src ~slot msg))
   end
 
 let stats t = t.stats

@@ -1,14 +1,28 @@
-(* [state] packs the event id, the owning process and the lifecycle
-   flags so the record stays at two fields — bit 0 = cancelled, bit 1 =
-   fired, bits 2..22 = owner + 1 (0 = ownerless), bits 23.. = id.
-   Keeping the per-event allocation small matters: the engine allocates
-   one of these per scheduled event on the hot path. The owner is what
-   sharded stepping partitions on; [schedule] rejects owners outside
-   [-1, owner_limit] rather than let one overflow the field. [action] is
-   mutable so cancel/fire can drop the closure: a cancelled husk may sit
-   in the queue until its tick is reached, and it must not retain the
-   closure's environment for all that time. *)
-type event = { mutable state : int; mutable action : unit -> unit }
+(* Events live in a slab: struct-of-arrays storage indexed by a slot
+   number, which is also the payload the event's wheel entry carries.
+   [state] packs the event id, the owning process and the lifecycle
+   flags — bit 0 = cancelled, bit 1 = fired, bits 2..22 = owner + 1
+   (0 = ownerless), bits 23.. = id. The owner is what sharded stepping
+   partitions on; [schedule] rejects owners outside [-1, owner_limit]
+   rather than let one overflow the field. [action] holds the closure,
+   [noop] when the slot is idle: cancel and fire drop the closure, since
+   a cancelled husk may sit in the queue until its tick is reached and
+   must not retain the closure's environment for all that time.
+
+   Scheduling takes a slot from the [free] stack (or the next unused
+   one) and writes one int and one closure pointer; the closure store is
+   the only pointer write per event, and nothing is allocated once the
+   arrays have grown to the run's peak of pending events. A slot is
+   released when its event fires, when its husk is popped, or when
+   compaction drops its husk; only the submitting domain takes or
+   releases slots. *)
+type slab = {
+  mutable state : int array;
+  mutable action : (unit -> unit) array;
+  mutable free : int array; (* released slots, a stack of [nfree] *)
+  mutable nfree : int;
+  mutable used : int; (* slots [0, used) have been handed out *)
+}
 
 let cancelled_bit = 1
 let fired_bit = 2
@@ -21,22 +35,34 @@ let owner_of_state st = ((st lsr 2) land owner_mask) - 1
 let pack_owner owner = (owner + 1) lsl 2
 let noop () = ()
 
-(* A handle is the event itself: returning it allocates nothing beyond
-   the record. [never] stands for an event scheduled at infinity, which
-   is not queued; both of its bits are set, so cancelling it is a no-op
-   and it is never written. *)
-type event_id = event
+(* A handle is an immediate: the event's slot in the low
+   [handle_slot_bits] bits and its id, modulo 2^36, above them. It stays
+   valid after the event fires or is cancelled and its slot is reused:
+   [cancel] acts only while the slot still holds that id and neither
+   flag is set. (Two events of one slot share a handle only when 2^36
+   events are scheduled between them, and only if the first handle is
+   still held then.) [no_event], what scheduling at infinity returns,
+   names no slot; [unnamed] is what a parallel step returns (see
+   [schedule]). *)
+type event_id = int
 
-let never = { state = cancelled_bit lor fired_bit; action = noop }
+let handle_slot_bits = 26
+let max_slots = 1 lsl handle_slot_bits
+let handle_slot_mask = max_slots - 1
+let handle_id_mask = (1 lsl (Sys.int_size - 1 - handle_slot_bits)) - 1
+let handle id slot = ((id land handle_id_mask) lsl handle_slot_bits) lor slot
+let no_event = -1
+let unnamed = -2
 
-(* An effect buffered during a sharded step: an event scheduled while
-   the step's batch was firing, remembered with the pop rank of the
-   event that scheduled it. The rank is what makes the end-of-step merge
-   canonical: the batch fires in pop order whatever the shard count, so
-   (rank, per-shard program order) is a total order independent of S. *)
-type staged = { s_at : Time.t; s_rank : int; s_ev : event }
-
-type svec = { mutable sa : staged array; mutable sn : int }
+(* Events scheduled while a step's batch is firing wait in per-shard
+   staging vectors of (at, rank, x) triples until the sub-round's
+   merge. [rank] is the pop rank of the event that scheduled them: the
+   batch fires in pop order whatever the shard count, so (rank,
+   per-shard program order) is a total order independent of S. [x] is
+   the event's slot on the sequential path; in a parallel step it is the
+   owner, and the closure waits in [sf], because worker domains take no
+   slots. *)
+type svec = { mutable sv : int array; mutable sn : int; mutable sf : (unit -> unit) array }
 
 (* Per-domain fire context: which shard is firing and the rank of the
    event being fired. Domain-local so the parallel fire phase can route
@@ -45,7 +71,8 @@ type fire_ctx = { mutable rank : int; mutable shard : int }
 
 type t = {
   mutable clock : Time.t;
-  queue : event Wheel.t;
+  queue : Wheel.t;
+  slab : slab;
   mutable processed : int;
   mutable next_id : int;
   recorder : Obs.Recorder.t;
@@ -57,13 +84,14 @@ type t = {
   mutable pool : Exec.Pool.t option;
   mutable parallel : bool; (* caller asserts shard-safe handlers *)
   mutable staging : svec array; (* per shard, reused across steps *)
+  mutable stage_cur : int array; (* per shard: merge cursor *)
   mutable deferred_dead : int array; (* per shard: husk notes owed to the queue *)
   mutable in_step : bool;
   mutable par_step : bool; (* this step fires its batches on the pool *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
-  mutable batch_ev : event array; (* the tick's events in pop order *)
+  mutable batch : int array; (* slots of the tick's events in pop order *)
   mutable batch_len : int;
-  mutable pb_ev : event array; (* parallel scatter: batch grouped by shard *)
+  mutable pb_slot : int array; (* parallel scatter: batch grouped by shard *)
   mutable pb_rank : int array;
   mutable pb_off : int array; (* shard s owns pb indices [off.(s), off.(s+1)) *)
   mutable pb_cur : int array;
@@ -72,11 +100,57 @@ type t = {
   ctx_key : fire_ctx Domain.DLS.key;
 }
 
+let grow_ints arr cap fill =
+  let na = Array.make cap fill in
+  Array.blit arr 0 na 0 (Array.length arr);
+  na
+
+let grow_slab s =
+  let len = Array.length s.state in
+  if len >= max_slots then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule: more than %d events pending (the handle's slot field)"
+         max_slots);
+  let cap = min max_slots (max 16 (2 * len)) in
+  s.state <- grow_ints s.state cap 0;
+  s.free <- grow_ints s.free cap 0;
+  let na = Array.make cap noop in
+  Array.blit s.action 0 na 0 len;
+  s.action <- na
+
+let[@lint.hot] take_slot s =
+  if s.nfree > 0 then begin
+    s.nfree <- s.nfree - 1;
+    s.free.(s.nfree)
+  end
+  else begin
+    let slot = s.used in
+    if slot = Array.length s.state then grow_slab s;
+    s.used <- slot + 1;
+    slot
+  end
+
+(* [free] has room for every slot ever handed out. *)
+let[@lint.hot] release_slot s slot =
+  s.free.(s.nfree) <- slot;
+  s.nfree <- s.nfree + 1
+
 let create ?recorder () =
   let recorder = match recorder with Some r -> r | None -> Obs.Recorder.create () in
+  let slab = { state = [||]; action = [||]; free = [||]; nfree = 0; used = 0 } in
+  (* Compaction drops exactly the husks this answers true for, so their
+     slots are released here. *)
+  let reclaim slot =
+    slab.state.(slot) land cancelled_bit <> 0
+    && begin
+         release_slot slab slot;
+         true
+       end
+  in
   {
     clock = Time.zero;
-    queue = Wheel.create ~dead:(fun ev -> ev.state land cancelled_bit <> 0) ();
+    queue = Wheel.create ~dead:reclaim ();
+    slab;
     processed = 0;
     next_id = 0;
     recorder;
@@ -86,13 +160,14 @@ let create ?recorder () =
     pool = None;
     parallel = false;
     staging = [||];
+    stage_cur = [||];
     deferred_dead = [||];
     in_step = false;
     par_step = false;
     base_rank = 0;
-    batch_ev = [||];
+    batch = [||];
     batch_len = 0;
-    pb_ev = [||];
+    pb_slot = [||];
     pb_rank = [||];
     pb_off = [||];
     pb_cur = [||];
@@ -116,7 +191,8 @@ let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
   t.shard_n <- n;
   t.pool <- pool;
   t.parallel <- parallel;
-  t.staging <- Array.init shards (fun _ -> { sa = [||]; sn = 0 });
+  t.staging <- Array.init shards (fun _ -> { sv = [||]; sn = 0; sf = [||] });
+  t.stage_cur <- Array.make shards 0;
   t.deferred_dead <- Array.make shards 0;
   t.pb_off <- Array.make (shards + 1) 0;
   t.pb_cur <- Array.make shards 0;
@@ -136,96 +212,148 @@ let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
 
-let stage_push t shard stg =
+(* Append an (at, rank, x) triple to a shard's staging vector; returns
+   its index there. *)
+let stage_push t shard at rank x =
   let v = t.staging.(shard) in
-  if v.sn >= Array.length v.sa then begin
-    let na = Array.make (max 8 (2 * Array.length v.sa)) stg in
-    Array.blit v.sa 0 na 0 v.sn;
-    v.sa <- na
-  end;
-  v.sa.(v.sn) <- stg;
-  v.sn <- v.sn + 1
+  let i = v.sn in
+  if (3 * i) + 3 > Array.length v.sv then v.sv <- grow_ints v.sv (max 24 (2 * Array.length v.sv)) 0;
+  v.sv.(3 * i) <- at;
+  v.sv.((3 * i) + 1) <- rank;
+  v.sv.((3 * i) + 2) <- x;
+  v.sn <- i + 1;
+  i
 
-let schedule t ?(owner = -1) ~at f =
-  if owner < -1 || owner > owner_limit then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: owner=%d is outside the %d-bit owner field" owner
-         owner_bits);
-  if at = Time.infinity then never
+(* A parallel step's schedule: the triple carries the owner, and the
+   closure waits beside it. *)
+let stage_unnamed t shard at rank owner f =
+  let i = stage_push t shard at rank owner in
+  let v = t.staging.(shard) in
+  if i >= Array.length v.sf then begin
+    let na = Array.make (max 8 (2 * Array.length v.sf)) noop in
+    Array.blit v.sf 0 na 0 (Array.length v.sf);
+    v.sf <- na
+  end;
+  v.sf.(i) <- f
+
+(* Cold error paths, kept out of [schedule] so its body stays
+   allocation-free. *)
+let bad_owner owner =
+  invalid_arg
+    (Printf.sprintf "Engine.schedule: owner=%d is outside the %d-bit owner field" owner owner_bits)
+
+let in_the_past at now =
+  invalid_arg (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at now)
+
+(* A queued-or-staged event in a fresh slot, with the next id. *)
+let[@lint.hot] new_event t owner f =
+  let s = t.slab in
+  let slot = take_slot s in
+  s.state.(slot) <- (t.next_id lsl id_shift) lor pack_owner owner;
+  s.action.(slot) <- f;
+  t.next_id <- t.next_id + 1;
+  slot
+
+(* The body of [schedule], apart so that the hot-path lint sees it: the
+   optional argument makes [schedule] itself a nest of functions. *)
+let[@lint.hot] schedule_owned t owner at f =
+  if owner < -1 || owner > owner_limit then bad_owner owner;
+  if at = Time.infinity then no_event
   else begin
-    if at < t.clock then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at t.clock);
-    if t.in_step then begin
-      (* Staged stepping: the new event goes into the firing shard's
-         staging buffer and reaches the queue at the sub-round's merge
-         point, in canonical (rank, program-order) order. In a parallel
-         step the id is also assigned at the merge — [next_id] must not
-         be touched from worker domains — which lands on the same values
-         in the same order as the sequential path does eagerly. *)
-      let ctx = Domain.DLS.get t.ctx_key in
-      let ev = { state = pack_owner owner; action = f } in
-      if not t.par_step then begin
-        ev.state <- ev.state lor (t.next_id lsl id_shift);
-        t.next_id <- t.next_id + 1;
-        if !(t.tracing) then
-          Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at
-      end;
-      stage_push t (if ctx.shard >= 0 then ctx.shard else 0) { s_at = at; s_rank = ctx.rank; s_ev = ev };
-      ev
-    end
-    else begin
-      let ev = { state = (t.next_id lsl id_shift) lor pack_owner owner; action = f } in
-      t.next_id <- t.next_id + 1;
-      Wheel.add t.queue ~prio:at ev;
+    if at < t.clock then in_the_past at t.clock;
+    if not t.in_step then begin
+      let slot = new_event t owner f in
+      Wheel.add t.queue ~prio:at slot;
       (* Call-site guard: the emission call is skipped entirely when full
          tracing is off, keeping the hot path at one load + branch. *)
-      if !(t.tracing) then
-        Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at;
-      ev
+      if !(t.tracing) then Obs.Recorder.sched t.recorder ~time:t.clock ~id:(t.next_id - 1) ~at;
+      handle (t.next_id - 1) slot
     end
-  end
-
-let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
-
-let cancel t ev =
-  (* Count each still-queued event as dead at most once; cancelling a
-     fired event must not skew the queue's husk accounting. *)
-  if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
-    ev.state <- ev.state lor cancelled_bit;
-    (* The husk stays queued until popped or compacted away; drop the
-       closure now so it doesn't pin its environment until then. *)
-    ev.action <- noop;
-    if t.in_step then begin
-      (* Deferred husk note: mid-step the event may live in a staging
-         buffer or the current batch rather than the queue, and in a
-         parallel step the queue must not be touched from worker
-         domains. Settled at the sub-round merge. *)
+    else begin
+      (* Staged stepping: the new event goes into the firing shard's
+         staging vector and reaches the queue at the sub-round's merge
+         point, in canonical (rank, program-order) order. *)
       let ctx = Domain.DLS.get t.ctx_key in
       let sh = if ctx.shard >= 0 then ctx.shard else 0 in
-      t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
+      if not t.par_step then begin
+        let slot = new_event t owner f in
+        if !(t.tracing) then
+          Obs.Recorder.sched t.recorder ~time:t.clock ~id:(t.next_id - 1) ~at;
+        ignore (stage_push t sh at ctx.rank slot : int);
+        handle (t.next_id - 1) slot
+      end
+      else begin
+        (* Parallel step: worker domains must not take slots or ids, so
+           both are assigned at the merge, which lands on the same ids in
+           the same order as the sequential path does eagerly. The
+           closure waits in the staging vector; the event has no handle
+           yet, so the caller gets [unnamed]. *)
+        stage_unnamed t sh at ctx.rank owner f;
+        unnamed
+      end
     end
-    else Wheel.note_dead t.queue;
-    if !(t.tracing) then
-      Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
   end
 
-(* Fire one popped event: mark it fired, and unless it was cancelled,
-   advance the clock and run its action. Shared by the fire loop and the
-   staged sequential batch. *)
-let[@lint.hot] fire_event_seq t at ev =
-  let st = ev.state in
-  ev.state <- st lor fired_bit;
+let schedule t ?(owner = -1) ~at f = schedule_owned t owner at f
+let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
+
+let cancel t h =
+  if h >= 0 then begin
+    let s = t.slab in
+    let slot = h land handle_slot_mask in
+    let st = if slot < s.used then s.state.(slot) else fired_bit in
+    (* Act only on a pending event that is still the one the handle
+       names: a fired or cancelled event, and any later occupant of its
+       slot, are left alone. Each still-queued event is thus counted
+       dead at most once, as the queue's husk accounting requires. *)
+    if
+      st land (cancelled_bit lor fired_bit) = 0
+      && id_of_state st land handle_id_mask = h lsr handle_slot_bits
+    then begin
+      s.state.(slot) <- st lor cancelled_bit;
+      (* The husk stays queued until popped or compacted away; drop the
+         closure now so it doesn't pin its environment until then. *)
+      s.action.(slot) <- noop;
+      if t.in_step then begin
+        (* Deferred husk note: mid-step the event may live in a staging
+           vector or the current batch rather than the queue, and in a
+           parallel step the queue must not be touched from worker
+           domains. Settled at the sub-round merge. *)
+        let ctx = Domain.DLS.get t.ctx_key in
+        let sh = if ctx.shard >= 0 then ctx.shard else 0 in
+        t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
+      end
+      else Wheel.note_dead t.queue;
+      if !(t.tracing) then Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state st)
+    end
+  end
+  else if h = unnamed then
+    invalid_arg "Engine.cancel: the event was scheduled inside a parallel step and has no handle"
+
+(* Fire one popped event: mark it fired and release its slot, and unless
+   it was cancelled, advance the clock and run its action. Shared by the
+   fire loop and the staged sequential batch. *)
+let[@lint.hot] fire_slot t at slot =
+  let s = t.slab in
+  let st = s.state.(slot) in
+  s.state.(slot) <- st lor fired_bit;
+  release_slot s slot;
   if st land cancelled_bit = 0 then begin
     t.clock <- at;
     t.processed <- t.processed + 1;
     if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-    let action = ev.action in
-    (* Release the closure before running it: the caller may hold the
-       event_id long after the event fires. *)
-    ev.action <- noop;
+    let action = s.action.(slot) in
+    (* Release the closure before running it: the slot may stay idle
+       long after the event fires. *)
+    s.action.(slot) <- noop;
     action ()
   end
+
+(* Pop the next event's slot, settling the husk count if it is dead. *)
+let[@lint.hot] pop_slot t =
+  let slot = Wheel.pop t.queue in
+  if t.slab.state.(slot) land cancelled_bit <> 0 then Wheel.note_popped_dead t.queue;
+  slot
 
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping
@@ -235,30 +363,27 @@ let[@lint.hot] fire_event_seq t at ev =
 let[@lint.hot] rec fire_loop t ~until =
   let at = Wheel.min_prio t.queue in
   if at <= until && at < Time.infinity then begin
-    fire_event_seq t at (Wheel.pop t.queue);
+    fire_slot t at (pop_slot t);
     fire_loop t ~until
   end
 
 (* ---- Sharded stepping ------------------------------------------------ *)
 
-let batch_push t ev =
-  if t.batch_len >= Array.length t.batch_ev then begin
-    let na = Array.make (max 16 (2 * Array.length t.batch_ev)) ev in
-    Array.blit t.batch_ev 0 na 0 t.batch_len;
-    t.batch_ev <- na
-  end;
-  t.batch_ev.(t.batch_len) <- ev;
+let batch_push t slot =
+  if t.batch_len >= Array.length t.batch then
+    t.batch <- grow_ints t.batch (max 16 (2 * Array.length t.batch)) 0;
+  t.batch.(t.batch_len) <- slot;
   t.batch_len <- t.batch_len + 1
 
 (* Sequential staged fire: pop order, exactly the order the legacy loop
-   would have fired — shard labels only route staging buffers. *)
+   would have fired — shard labels only route staging vectors. *)
 let fire_batch_seq t tick =
   let ctx = Domain.DLS.get t.ctx_key in
   for r = 0 to t.batch_len - 1 do
-    let ev = t.batch_ev.(r) in
+    let slot = t.batch.(r) in
     ctx.rank <- t.base_rank + r;
-    ctx.shard <- shard_of t (owner_of_state ev.state);
-    fire_event_seq t tick ev
+    ctx.shard <- shard_of t (owner_of_state t.slab.state.(slot));
+    fire_slot t tick slot
   done;
   ctx.rank <- -1;
   ctx.shard <- -1
@@ -266,31 +391,35 @@ let fire_batch_seq t tick =
 (* Parallel staged fire: group the batch by shard (preserving pop order
    within each shard) and fire the shards on the pool. Only reached when
    the caller asserted shard-safe handlers and tracing is off; worker
-   domains never touch the queue, the recorder, or [next_id] — their
-   only shared-state writes go through the per-shard staging buffers. *)
+   domains never touch the queue, the recorder, [next_id] or the free
+   slots — they write only their own events' slab cells and their own
+   shard's staging vector. The batch's slots are released after the
+   barrier. *)
 let fire_batch_par t tick pool =
   let s = t.shards in
+  let slab = t.slab in
   let off = t.pb_off and cur = t.pb_cur in
   Array.fill off 0 (s + 1) 0;
   for r = 0 to t.batch_len - 1 do
-    let sh = shard_of t (owner_of_state t.batch_ev.(r).state) in
+    let sh = shard_of t (owner_of_state slab.state.(t.batch.(r))) in
     off.(sh + 1) <- off.(sh + 1) + 1
   done;
   for i = 0 to s - 1 do
     off.(i + 1) <- off.(i + 1) + off.(i);
     cur.(i) <- off.(i)
   done;
-  if Array.length t.pb_ev < t.batch_len then begin
-    t.pb_ev <- Array.make (2 * t.batch_len) t.batch_ev.(0);
+  if Array.length t.pb_slot < t.batch_len then begin
+    t.pb_slot <- Array.make (2 * t.batch_len) 0;
     t.pb_rank <- Array.make (2 * t.batch_len) 0
   end;
   let any_live = ref false in
   for r = 0 to t.batch_len - 1 do
-    let ev = t.batch_ev.(r) in
-    if ev.state land cancelled_bit = 0 then any_live := true;
-    let sh = shard_of t (owner_of_state ev.state) in
+    let slot = t.batch.(r) in
+    let st = slab.state.(slot) in
+    if st land cancelled_bit = 0 then any_live := true;
+    let sh = shard_of t (owner_of_state st) in
     let idx = cur.(sh) in
-    t.pb_ev.(idx) <- ev;
+    t.pb_slot.(idx) <- slot;
     t.pb_rank.(idx) <- t.base_rank + r;
     cur.(sh) <- idx + 1
   done;
@@ -302,57 +431,73 @@ let fire_batch_par t tick pool =
       ctx.shard <- sh;
       let fired = ref 0 in
       for idx = off.(sh) to off.(sh + 1) - 1 do
-        let ev = t.pb_ev.(idx) in
+        let slot = t.pb_slot.(idx) in
         ctx.rank <- t.pb_rank.(idx);
-        let st = ev.state in
-        ev.state <- st lor fired_bit;
+        let st = slab.state.(slot) in
+        slab.state.(slot) <- st lor fired_bit;
         if st land cancelled_bit = 0 then begin
           incr fired;
-          let action = ev.action in
-          ev.action <- noop;
+          let action = slab.action.(slot) in
+          slab.action.(slot) <- noop;
           action ()
         end
       done;
       ctx.rank <- -1;
       ctx.shard <- -1;
       t.shard_fired.(sh) <- !fired);
+  for r = 0 to t.batch_len - 1 do
+    release_slot slab t.batch.(r)
+  done;
   for sh = 0 to s - 1 do
     t.processed <- t.processed + t.shard_fired.(sh);
     t.shard_fired.(sh) <- 0
   done
 
-let dummy_staged = { s_at = 0; s_rank = 0; s_ev = never }
+(* The shard whose next staged triple has the smallest rank, or -1 when
+   every vector is consumed. Ranks never tie across shards (all of one
+   rank's schedules come from one event, on one shard). *)
+let next_staged t =
+  let best = ref (-1) and best_rank = ref max_int in
+  for sh = 0 to t.shards - 1 do
+    let v = t.staging.(sh) and c = t.stage_cur.(sh) in
+    if c < v.sn && v.sv.((3 * c) + 1) < !best_rank then begin
+      best := sh;
+      best_rank := v.sv.((3 * c) + 1)
+    end
+  done;
+  !best
 
 (* Merge one sub-round's staged effects back into the step: schedules in
-   canonical order (same-tick ones refill the batch for the next
-   sub-round, later ones enter the queue), then the owed husk notes,
-   then the component flush hooks (Net.Link_stats cross-shard staging). *)
+   canonical (rank, program-order) order — a k-way merge of the
+   per-shard vectors — where same-tick ones refill the batch for the
+   next sub-round and later ones enter the queue; then the owed husk
+   notes; then the component flush hooks (Net.Link_stats cross-shard
+   staging). *)
 let merge_subround t tick =
-  let total = Array.fold_left (fun acc v -> acc + v.sn) 0 t.staging in
-  if total > 0 then begin
-    let bufs =
-      Array.map
-        (fun v ->
-          let a = Array.sub v.sa 0 v.sn in
-          (* Release the staged references: the buffer keeps its capacity
-             across steps and must not pin events from finished ones. *)
-          Array.fill v.sa 0 v.sn dummy_staged;
-          v.sn <- 0;
-          a)
-        t.staging
-    in
-    let merged = Exec.Pool.merge_by ~rank:(fun stg -> stg.s_rank) bufs in
-    Array.iter
-      (fun stg ->
-        let ev = stg.s_ev in
+  Array.fill t.stage_cur 0 t.shards 0;
+  let rec merge () =
+    let sh = next_staged t in
+    if sh >= 0 then begin
+      let v = t.staging.(sh) and c = t.stage_cur.(sh) in
+      t.stage_cur.(sh) <- c + 1;
+      let at = v.sv.(3 * c) and x = v.sv.((3 * c) + 2) in
+      let slot =
         if t.par_step then begin
-          ev.state <- ev.state lor (t.next_id lsl id_shift);
-          t.next_id <- t.next_id + 1
-        end;
-        if stg.s_at = tick then batch_push t ev else Wheel.add t.queue ~prio:stg.s_at ev)
-      merged
-  end;
+          let f = v.sf.(c) in
+          (* Release the staged closure: the vector keeps its capacity
+             across steps and must not pin finished events. *)
+          v.sf.(c) <- noop;
+          new_event t x f
+        end
+        else x
+      in
+      if at = tick then batch_push t slot else Wheel.add t.queue ~prio:at slot;
+      merge ()
+    end
+  in
+  merge ();
   for sh = 0 to t.shards - 1 do
+    t.staging.(sh).sn <- 0;
     for _ = 1 to t.deferred_dead.(sh) do
       Wheel.note_dead t.queue
     done;
@@ -365,15 +510,15 @@ let merge_subround t tick =
    pool), merge staged effects, and repeat sub-rounds while the firing
    keeps scheduling into the same tick. Equivalent to the legacy loop:
    pop order is preserved, and merged insertion order equals program
-   order (see merge_by) — the sequential staged path produces
-   byte-identical traces to shards = 0. *)
+   order — the sequential staged path produces byte-identical traces to
+   shards = 0. *)
 let staged_loop t ~until =
   let rec step () =
     let tick = Wheel.min_prio t.queue in
     if tick <= until && tick < Time.infinity then begin
       t.batch_len <- 0;
       while Wheel.min_prio t.queue = tick do
-        batch_push t (Wheel.pop t.queue)
+        batch_push t (pop_slot t)
       done;
       t.in_step <- true;
       t.par_step <-

@@ -20,12 +20,29 @@
     fires on its own domain — only sound when every handler touches
     state of its own shard exclusively (cross-shard effects must go
     through [schedule] or a staged component such as
-    [Net.Link_stats]); full tracing must be off. *)
+    [Net.Link_stats]); full tracing must be off.
+
+    {2 Storage}
+
+    Events live in a slab of flat arrays: a packed int state word (id,
+    owner, lifecycle flags) and the action closure, in a slot the
+    engine recycles once the event fires or its husk leaves the queue.
+    The queue ({!Wheel}) carries the slot as its int payload. In steady
+    state scheduling and firing allocate nothing; the closure store is
+    the one pointer write per event. *)
 
 type t
 
 type event_id
-(** Handle for cancelling a scheduled event. *)
+(** Handle for cancelling a scheduled event: an immediate value naming
+    the event's slot and id, so returning one allocates nothing. It
+    stays safe to hold after the event fires or is cancelled: once the
+    slot is reused, cancelling through the old handle leaves the new
+    event alone. *)
+
+val no_event : event_id
+(** A handle that names no event — what scheduling at
+    [Time.infinity] returns. Cancelling it is a no-op. *)
 
 val create : ?recorder:Obs.Recorder.t -> unit -> t
 (** [create ~recorder ()] wires the engine's structural observability
@@ -44,17 +61,29 @@ val recorder : t -> Obs.Recorder.t
 val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
     must not be in the past. Scheduling at [Time.infinity] is a no-op
-    that returns a dead id. [owner] is the process the event belongs to
-    (default: ownerless); sharded stepping partitions the batch on it.
+    that returns {!no_event}. [owner] is the process the event belongs
+    to (default: ownerless); sharded stepping partitions the batch on
+    it. Events get trace ids in scheduling order.
+
+    Inside a parallel step (see {!set_sharding}) the event is staged
+    without a slot or an id — worker domains take neither; both are
+    assigned at the sub-round merge, in the same order as sequentially —
+    so the returned handle names no event and {!cancel} rejects it.
+    Sequential steps return ordinary handles.
     @raise Invalid_argument if [owner] is below [-1] or does not fit
-    the event's 21-bit owner field. *)
+    the event's 21-bit owner field, or if more than 2{^26} events are
+    pending at once (the handle's slot field). *)
 
 val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> event_id
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling a fired or already-cancelled event
-    is a no-op. *)
+    is a no-op, even after its slot has been reused (a handle's id field
+    is 36 bits wide, so only a handle held across 2{^36} later events
+    could alias a new event of its slot).
+    @raise Invalid_argument for a handle returned inside a parallel
+    step. *)
 
 val run : t -> until:Time.t -> unit
 (** Process events in time order until the queue is empty or the next

@@ -12,7 +12,9 @@ let add a b =
     if s < 0 then infinity else s
   end
 
-let max = Stdlib.max
+(* Int.max, not the polymorphic Stdlib.max: the network takes it per
+   send, and the polymorphic one is a C comparison call. *)
+let max = Int.max
 let compare = Int.compare
 
 let pp ppf t = if is_finite t then Format.fprintf ppf "%d" t else Format.pp_print_string ppf "inf"

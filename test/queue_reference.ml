@@ -1,9 +1,11 @@
 (* Reference definition of Sim.Wheel's observable behaviour, kept as
    plain as possible: a list sorted by (priority, insertion seq), with
    the wheel's dead-husk accounting and compaction rule (at least 16
-   entries queued, more than half known dead). The differential test in
-   test_sim.ml holds the wheel to it: same pop stream, husks included,
-   and the same min_prio and size after every operation. *)
+   entries queued, more than half known dead; the predicate is consulted
+   only when compacting, and the caller reports popped husks). The
+   differential tests in test_sim.ml hold the wheel to it: same pop
+   stream, husks included, and the same min_prio and size after every
+   operation. *)
 
 type 'a t = {
   mutable entries : (int * int * 'a) list; (* (prio, seq, value), ascending *)
@@ -28,8 +30,10 @@ let pop t =
   | [] -> invalid_arg "Queue_reference.pop: empty queue"
   | (_, _, v) :: rest ->
       t.entries <- rest;
-      if t.dead v then t.dead_count <- max 0 (t.dead_count - 1);
       v
+
+(* The caller reports a dead entry it popped, as the engine does. *)
+let note_popped_dead t = t.dead_count <- max 0 (t.dead_count - 1)
 
 let note_dead t =
   t.dead_count <- min (size t) (t.dead_count + 1);

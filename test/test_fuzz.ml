@@ -73,13 +73,10 @@ let quiescence_oracle_fires () =
     Harness.Run.run (scenario ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ]) ~horizon:20_000 ())
   in
   holds "a sound run" Fuzz.Property.quiescence r;
-  let noisy =
-    Net.Link_stats.create
-      ~graph:(Cgraph.Topology.build (Cgraph.Topology.Ring 8))
-      ~kinds:[| "request" |] ()
-  in
+  let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
+  let noisy = Net.Link_stats.create ~graph ~kinds:[| "request" |] () in
   Net.Link_stats.watch_dst noisy 2;
-  Net.Link_stats.record_send noisy ~src:1 ~dst:2 ~kind:0 ~at:15_000;
+  Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~kind:0 ~at:15_000;
   fires "post-grace send to a victim" Fuzz.Property.quiescence { r with link_stats = noisy }
 
 (* The fork-only baseline has no doorway, so a hungry process can be

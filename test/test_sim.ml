@@ -189,8 +189,9 @@ let wheel_orders () =
 
 let wheel_fifo_ties () =
   let q = Sim.Wheel.create () in
-  List.iteri (fun i label -> Sim.Wheel.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (wh_pop q)))) in
+  let names = [| "a"; "b"; "c"; "d" |] in
+  Array.iteri (fun i _ -> Sim.Wheel.add q ~prio:7 i) names;
+  let labels = List.init 4 (fun _ -> names.(snd (Option.get (wh_pop q)))) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
     labels
 
@@ -240,23 +241,23 @@ let wheel_forced_compact () =
   let dead = Hashtbl.create 16 in
   let q = Sim.Wheel.create ~dead:(Hashtbl.mem dead) () in
   let prios = List.init 20 (fun i -> [| 5; 1; 4; 1; 3 |].(i mod 5)) in
-  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
+  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p i) prios;
   let kill k =
     Hashtbl.replace dead k ();
     Sim.Wheel.note_dead q
   in
   for k = 0 to 9 do
-    kill (k, List.nth prios k)
+    kill k
   done;
   check int "half dead: husks still queued" 20 (Sim.Wheel.size q);
-  kill (10, List.nth prios 10);
+  kill 10;
   check int "one more: every husk dropped" 9 (Sim.Wheel.size q);
   let expected =
     List.filteri (fun i _ -> i > 10) (List.mapi (fun i p -> (i, p)) prios)
     |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
   in
   check (Alcotest.list (Alcotest.pair int int)) "order and FIFO ties survive compaction" expected
-    (wh_drain q)
+    (List.map (fun i -> (i, List.nth prios i)) (wh_drain q))
 
 let wheel_compaction_agrees =
   (* Draining a compacting queue after arbitrary cancellations yields the
@@ -265,13 +266,13 @@ let wheel_compaction_agrees =
     QCheck.(pair (list_of_size Gen.(int_range 0 60) (int_bound 20)) (int_bound 1000))
     (fun (prios, salt) ->
       let dead = Hashtbl.create 16 in
-      let is_dead (i, _) = Hashtbl.mem dead i in
+      let is_dead i = Hashtbl.mem dead i in
       let q = Sim.Wheel.create ~dead:is_dead () in
       let plain = Sim.Wheel.create () in
       List.iteri
         (fun i p ->
-          Sim.Wheel.add q ~prio:p (i, p);
-          Sim.Wheel.add plain ~prio:p (i, p))
+          Sim.Wheel.add q ~prio:p i;
+          Sim.Wheel.add plain ~prio:p i)
         prios;
       List.iteri
         (fun i _ ->
@@ -290,92 +291,147 @@ let wheel_multilevel_spans () =
   let prios =
     [ 0; 255; 256; 257; 65_535; 65_536; 1; 16_777_215; 16_777_216; (1 lsl 40) + 3; 1 lsl 40 ]
   in
-  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
+  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p i) prios;
   check (Alcotest.list int) "global order across levels"
-    (List.sort compare prios) (List.map snd (wh_drain q))
+    (List.sort compare prios) (List.map (List.nth prios) (wh_drain q))
 
 let wheel_floor_rejects_past () =
   let q = Sim.Wheel.create () in
-  Sim.Wheel.add q ~prio:100 "x";
+  Sim.Wheel.add q ~prio:100 1;
   ignore (wh_pop q);
   check int "floor tracks the last popped tick" 100 (Sim.Wheel.floor q);
   let rejected =
-    match Sim.Wheel.add q ~prio:99 "past" with
+    match Sim.Wheel.add q ~prio:99 2 with
     | () -> false
     | exception Invalid_argument _ -> true
   in
   check bool "adds below the floor are rejected" true rejected;
   (* Adding exactly at the floor (the engine's "schedule now") is fine. *)
-  Sim.Wheel.add q ~prio:100 "now";
+  Sim.Wheel.add q ~prio:100 3;
   check (Alcotest.option int) "same-tick add lands at the floor" (Some 100)
     (wh_peek q)
 
+(* One step of a differential run: add an entry [delta] ticks after the
+   last popped tick, pop, or cancel the [k mod n]-th of the n entries
+   the op stream has added so far ([Cancel_any], which may hit popped or
+   already cancelled entries) or of those still queued ([Cancel_queued],
+   what the engine does). *)
+type qop = Add of int | Pop | Cancel_any of int | Cancel_queued of int
+
+(* Runs [ops] on the wheel and on the reference queue side by side and
+   answers whether they agree: identical pop streams (husks included),
+   identical peeks and sizes after every operation, and an identical
+   final drain. Popped husks are reported to both, as the engine does. *)
+let agrees_with_reference ops =
+  let dead = Hashtbl.create 16 in
+  let is_dead i = Hashtbl.mem dead i in
+  let w = Sim.Wheel.create ~dead:is_dead () in
+  let r = Queue_reference.create ~dead:is_dead () in
+  let now = ref 0 and next = ref 0 and ok = ref true in
+  let added = ref [] and queued = ref [] in
+  let pop_both () =
+    let a = wh_pop w and b = ref_pop r in
+    ok := !ok && a = b;
+    (match a with
+    | Some (t, v) ->
+        now := t;
+        queued := List.filter (( <> ) v) !queued;
+        if is_dead v then Sim.Wheel.note_popped_dead w
+    | None -> ());
+    (match b with Some (_, v) when is_dead v -> Queue_reference.note_popped_dead r | _ -> ());
+    a <> None
+  in
+  let kill k =
+    if not (is_dead k) then begin
+      Hashtbl.replace dead k ();
+      Sim.Wheel.note_dead w;
+      Queue_reference.note_dead r
+    end
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Add delta ->
+          let prio = !now + delta and v = !next in
+          incr next;
+          added := v :: !added;
+          queued := v :: !queued;
+          Sim.Wheel.add w ~prio v;
+          Queue_reference.add r ~prio v
+      | Pop -> ignore (pop_both () : bool)
+      | Cancel_any k -> (
+          match !added with [] -> () | l -> kill (List.nth l (k mod List.length l)))
+      | Cancel_queued k -> (
+          match List.filter (fun v -> not (is_dead v)) !queued with
+          | [] -> ()
+          | l -> kill (List.nth l (k mod List.length l))));
+      ok := !ok && wh_peek w = ref_peek r && Sim.Wheel.size w = Queue_reference.size r)
+    ops;
+  while pop_both () do
+    ()
+  done;
+  !ok
+
 let wheel_matches_reference =
-  (* The wheel must behave exactly like the plain reference queue:
-     identical pop streams — husks included — identical peeks, identical
-     sizes, under arbitrary interleavings of add / pop / cancel with the
-     shared dead-husk compaction policy. *)
+  (* The wheel must behave exactly like the plain reference queue under
+     arbitrary interleavings of add / pop / cancel with the shared
+     dead-husk compaction policy. *)
   QCheck.Test.make ~name:"wheel: bit-identical to the reference queue on random workloads"
     ~count:300
     QCheck.(pair (list_of_size Gen.(int_range 0 120) (int_bound 100_000)) (int_bound 10_000))
     (fun (codes, salt) ->
-      let dead = Hashtbl.create 16 in
-      let is_dead (i, _) = Hashtbl.mem dead i in
-      let w = Sim.Wheel.create ~dead:is_dead () in
-      let r = Queue_reference.create ~dead:is_dead () in
-      let now = ref 0 in
-      let idx = ref 0 in
-      let added = ref [] in
-      let ok = ref true in
-      let agree () =
-        ok := !ok && wh_peek w = ref_peek r && Sim.Wheel.size w = Queue_reference.size r
+      agrees_with_reference
+        (List.map
+           (fun code ->
+             match code mod 3 with
+             | 0 ->
+                 (* Mostly short hops, occasionally a jump that crosses
+                    several wheel levels. *)
+                 Add
+                   (if code mod 5 = 0 then (((code / 3) mod 4) * 1_000_000) + (code mod 97)
+                    else (code / 3) mod 500)
+             | 1 -> Pop
+             | _ -> Cancel_any (code + salt))
+           codes))
+
+(* The regime a fuzz world runs in: at most 16 entries in flight, gaps
+   that cross levels 1-3, and runs of thousands of operations, so every
+   entry cell is released and reused many times over. *)
+let wheel_matches_reference_sparse =
+  QCheck.Test.make ~name:"wheel: matches the reference when sparse, across levels 1-3" ~count:60
+    QCheck.(list_of_size Gen.(int_range 500 3000) (pair (int_bound 9) (int_bound 1_000_000)))
+    (fun steps ->
+      let in_flight = ref 0 in
+      let ops =
+        List.map
+          (fun (kind, m) ->
+            if kind <= 4 && !in_flight < 16 then begin
+              incr in_flight;
+              (* Level 0, 1, 2 or 3 from the floor. *)
+              Add
+                (match m mod 4 with
+                | 0 -> m mod 256
+                | 1 -> 256 + (m mod 65_280)
+                | 2 -> 65_536 + (m * 16 mod 16_711_680)
+                | _ -> 16_777_216 + (m * 4_096))
+            end
+            else if kind <= 7 || !in_flight >= 16 then begin
+              in_flight := max 0 (!in_flight - 1);
+              Pop
+            end
+            else Cancel_queued m)
+          steps
       in
-      List.iter
-        (fun code ->
-          (match code mod 3 with
-          | 0 ->
-              (* Mostly short hops, occasionally a jump that crosses
-                 several wheel levels. *)
-              let delta =
-                if code mod 5 = 0 then (((code / 3) mod 4) * 1_000_000) + (code mod 97)
-                else (code / 3) mod 500
-              in
-              let prio = !now + delta in
-              let v = (!idx, prio) in
-              incr idx;
-              added := fst v :: !added;
-              Sim.Wheel.add w ~prio v;
-              Queue_reference.add r ~prio v
-          | 1 -> (
-              let a = wh_pop w and b = ref_pop r in
-              ok := !ok && a = b;
-              match a with Some (t, _) -> now := t | None -> ())
-          | _ -> (
-              match !added with
-              | [] -> ()
-              | l ->
-                  let k = List.nth l ((code + salt) mod List.length l) in
-                  if not (Hashtbl.mem dead k) then begin
-                    Hashtbl.replace dead k ();
-                    Sim.Wheel.note_dead w;
-                    Queue_reference.note_dead r
-                  end));
-          agree ())
-        codes;
-      let rec drain () =
-        let a = wh_pop w and b = ref_pop r in
-        ok := !ok && a = b;
-        if a <> None then drain ()
-      in
-      drain ();
-      !ok)
+      agrees_with_reference ops)
 
 (* ------------------------------ Engine ----------------------------- *)
 
-(* Scheduling and firing a no-op event allocates the event record
-   (3 words; it is also the cancellation handle) and the wheel's 5-word
-   linked node for it, and nothing else. Many events stay pending
-   throughout, so the wheel files, cascades and drains as in a run. *)
+(* Scheduling and firing a no-op event allocates nothing once the
+   engine's slab and the wheel's cells have grown to the run's peak of
+   pending events: an event is an int state word and a closure pointer
+   in recycled slots, and its queue entry is three ints. Many events
+   stay pending throughout, so the wheel files, cascades and drains as
+   in a run. *)
 let engine_noop_event_allocation () =
   let engine = Sim.Engine.create () in
   let fired = ref 0 in
@@ -383,16 +439,20 @@ let engine_noop_event_allocation () =
      the one [tick] closure is built here, not per event. *)
   let rec tick () =
     incr fired;
-    if !fired < 50_000 then
+    if !fired < 100_000 then
       ignore (Sim.Engine.schedule_after engine ~delay:(1 + (!fired * 7919 mod 300)) tick)
   in
   for i = 1 to 64 do
     ignore (Sim.Engine.schedule engine ~at:i tick)
   done;
+  (* The first stretch grows every array to its steady size. *)
+  Sim.Engine.run engine ~until:100_000;
+  let warm = !fired in
   let w0 = Gc.minor_words () in
   Sim.Engine.run_all engine;
-  let words = (Gc.minor_words () -. w0) /. float_of_int !fired in
-  check bool (Printf.sprintf "%.2f words per fired no-op event <= 8" words) true (words <= 8.)
+  let words = Gc.minor_words () -. w0 in
+  check bool "the steady stretch fired many events" true (!fired - warm > 40_000);
+  check (Alcotest.float 0.) "minor words over the steady stretch" 0. words
 
 let engine_fires_in_order () =
   let engine = Sim.Engine.create () in
@@ -527,24 +587,24 @@ let engine_cancel_releases_closure () =
    representable. *)
 let queue_rejects_infinity () =
   let w = Sim.Wheel.create () in
-  let rejected = match Sim.Wheel.add w ~prio:max_int "inf" with
+  let rejected = match Sim.Wheel.add w ~prio:max_int 1 with
     | () -> false
     | exception Invalid_argument _ -> true
   in
   check bool "wheel rejects prio = max_int" true rejected;
-  Sim.Wheel.add w ~prio:(max_int - 1) "last";
-  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "wheel pops max_int - 1"
-    (Some (max_int - 1, "last"))
+  Sim.Wheel.add w ~prio:(max_int - 1) 2;
+  check (Alcotest.option (Alcotest.pair int int)) "wheel pops max_int - 1"
+    (Some (max_int - 1, 2))
     (wh_pop w);
   let r = Queue_reference.create ~dead:(fun _ -> false) () in
-  let rejected = match Queue_reference.add r ~prio:max_int "inf" with
+  let rejected = match Queue_reference.add r ~prio:max_int 1 with
     | () -> false
     | exception Invalid_argument _ -> true
   in
   check bool "reference rejects prio = max_int" true rejected;
-  Queue_reference.add r ~prio:(max_int - 1) "last";
-  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "reference pops max_int - 1"
-    (Some (max_int - 1, "last"))
+  Queue_reference.add r ~prio:(max_int - 1) 2;
+  check (Alcotest.option (Alcotest.pair int int)) "reference pops max_int - 1"
+    (Some (max_int - 1, 2))
     (ref_pop r)
 
 (* [Time.add] saturates to infinity, so a huge relative delay is a
@@ -660,6 +720,93 @@ let engine_staged_traces_identical () =
         reference (capture s))
     [ 1; 2; 4 ]
 
+(* Handles name one event, not its slot. A fired or cancelled event's
+   slot is recycled by the next schedule; cancelling through the old
+   handle must leave the new occupant alone, and so must cancelling a
+   husk that compaction dropped. *)
+let engine_stale_handles () =
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let a = Sim.Engine.schedule engine ~at:1 (note "a") in
+  Sim.Engine.run_all engine;
+  let b = Sim.Engine.schedule engine ~at:2 (note "b") in
+  Sim.Engine.cancel engine a;
+  check int "cancelling a fired event leaves its slot's new event queued" 1
+    (Sim.Engine.pending engine);
+  (* A cancelled husk is popped and its slot reused. *)
+  let c = Sim.Engine.schedule engine ~at:3 (note "c") in
+  Sim.Engine.cancel engine c;
+  Sim.Engine.cancel engine c;
+  Sim.Engine.run engine ~until:3;
+  let d = Sim.Engine.schedule engine ~at:4 (note "d") in
+  Sim.Engine.cancel engine c;
+  Sim.Engine.cancel engine b;
+  (* Husks dropped by compaction release their slots too. *)
+  let husks = List.init 40 (fun i -> Sim.Engine.schedule engine ~at:(10 + i) (note "husk")) in
+  List.iter (Sim.Engine.cancel engine) husks;
+  let compacted = Sim.Engine.pending engine in
+  check bool "compaction dropped husks" true (compacted < 41);
+  let fresh = List.init 40 (fun i -> Sim.Engine.schedule engine ~at:(10 + i) (note "fresh")) in
+  List.iter (Sim.Engine.cancel engine) husks;
+  (* The infinity handle names no event. *)
+  let never = Sim.Engine.schedule engine ~at:Sim.Time.infinity (note "never") in
+  Sim.Engine.cancel engine never;
+  Sim.Engine.cancel engine never;
+  check int "stale and infinity cancels left every new event queued" (compacted + 40)
+    (Sim.Engine.pending engine);
+  Sim.Engine.run_all engine;
+  List.iter (Sim.Engine.cancel engine) (a :: b :: c :: d :: fresh);
+  check (Alcotest.list Alcotest.string) "exactly the live events fired"
+    ([ "a"; "b"; "d" ] @ List.init 40 (fun _ -> "fresh"))
+    (List.rev !log);
+  check int "processed" 43 (Sim.Engine.processed engine)
+
+(* Inside a parallel step, worker domains take no slots and no ids: an
+   event scheduled there gets both at the sub-round merge, and
+   [schedule] returns a handle that names no event, which [cancel]
+   rejects. The events still fire, in the same order as sequentially.
+   A sequential staged step's handles cancel as usual. *)
+let engine_parallel_step_handles () =
+  let run ?pool ~parallel () =
+    let engine = Sim.Engine.create () in
+    Sim.Engine.set_sharding engine ?pool ~parallel ~shards:2 ~n:2 ();
+    let inner = Array.make 2 None in
+    let order = Array.make 2 [] in
+    for owner = 0 to 1 do
+      ignore
+        (Sim.Engine.schedule engine ~owner ~at:1 (fun () ->
+             inner.(owner) <-
+               Some
+                 (Sim.Engine.schedule engine ~owner ~at:5 (fun () ->
+                      order.(owner) <- Sim.Engine.fire_rank engine :: order.(owner)))))
+    done;
+    Sim.Engine.run engine ~until:1;
+    check int "both inner events queued at the merge" 2 (Sim.Engine.pending engine);
+    (engine, Array.map Option.get inner, order)
+  in
+  let engine, handles, order =
+    Exec.Pool.with_pool ~domains:2 (fun pool ->
+        let ((engine, handles, _) as r) = run ~pool ~parallel:true () in
+        Array.iter
+          (fun h ->
+            Alcotest.check_raises "a parallel step's handle is rejected"
+              (Invalid_argument
+                 "Engine.cancel: the event was scheduled inside a parallel step and has no handle")
+              (fun () -> Sim.Engine.cancel engine h))
+          handles;
+        Sim.Engine.run_all engine;
+        r)
+  in
+  ignore handles;
+  check int "both fired" 4 (Sim.Engine.processed engine);
+  let seq_engine, seq_handles, seq_order = run ~parallel:false () in
+  Sim.Engine.cancel seq_engine seq_handles.(1);
+  Sim.Engine.run_all seq_engine;
+  check (Alcotest.list int) "owner 0 fires at the same rank" seq_order.(0) order.(0);
+  check (Alcotest.list int) "a sequential step's handle cancels" [] seq_order.(1);
+  check int "the cancelled one did not fire" 3 (Sim.Engine.processed seq_engine)
+
 (* ------------------------------ Trace ------------------------------ *)
 
 let trace_disabled_by_default () =
@@ -714,7 +861,7 @@ let suite =
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
     QCheck_alcotest.to_alcotest wheel_matches_reference;
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
-    Alcotest.test_case "engine: a no-op event allocates its record and node only" `Quick
+    Alcotest.test_case "engine: a no-op event allocates nothing once warm" `Quick
       engine_noop_event_allocation;
     Alcotest.test_case "engine: FIFO at equal times" `Quick engine_same_time_fifo;
     Alcotest.test_case "engine: run ~until" `Quick engine_until_bound;
@@ -739,4 +886,8 @@ let suite =
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
     Alcotest.test_case "trace: collects records" `Quick trace_collects;
     Alcotest.test_case "trace: callback sink" `Quick trace_sink;
+    QCheck_alcotest.to_alcotest wheel_matches_reference_sparse;
+    Alcotest.test_case "engine: stale handles cancel nothing" `Quick engine_stale_handles;
+    Alcotest.test_case "engine: a parallel step's schedule returns no handle" `Quick
+      engine_parallel_step_handles;
   ]
