@@ -20,17 +20,15 @@ type parts = {
 val build :
   ?trace:Sim.Trace.t ->
   ?metrics:Obs.Metrics.t ->
-  ?shards:int ->
   Scenario.t ->
   parts
 (** Builds everything and schedules the crash plan (victims are watched in
     [link_stats]). The engine has not run yet. [trace] becomes the
     engine's recorder, so structural event/message records flow into it
     under full tracing; [metrics] is threaded to the dining and heartbeat
-    overlays' link statistics.
-    [shards > 0] switches the engine to staged stepping with that many
-    shards (default 0, the legacy fire loop) — runs and traces are
-    bit-identical either way and for any shard count. *)
+    overlays' link statistics. The engine gets no pool: the monitors,
+    workload and detectors share state across processes, so a world's
+    events fire on the engine's pop loop (see {!Sim.Engine}). *)
 
 val convergence : parts -> Sim.Time.t * int
 (** Post-run detector convergence time and (for heartbeat) mistake count. *)

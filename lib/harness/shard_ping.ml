@@ -4,12 +4,19 @@
    its own CSR row; a delivery (owner = the destination, see
    Net.Network) updates the destination's counters. No monitors, no
    tracing, no shared RNG draws after setup. That makes it legal to run
-   with [~parallel:true] on a domain pool, which the harness's full
-   dining worlds are not (their monitors and workload share state
-   across processes); the equality tests and the bench lean on this to
-   demonstrate that shard-parallel stepping computes the same run. *)
+   on a domain pool, which the harness's full dining worlds are not
+   (their monitors and workload share state across processes); the
+   equality tests and the bench lean on this to demonstrate that
+   shard-parallel stepping computes the pop loop's run. *)
 
-type result = { events : int; sent : int; received : int; checksum : int; worst_watermark : int }
+type result = {
+  events : int;
+  sent : int;
+  received : int;
+  checksum : int;
+  worst_watermark : int;
+  edge_digest : int;
+}
 
 let mix h v =
   (* splitmix64-style finalizer over the int domain; associativity is
@@ -18,12 +25,8 @@ let mix h v =
   let h = h lxor (h lsr 29) in
   h * 0xBF58476D1CE4E5B
 
-let run ?pool ?(parallel = false) ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L)
-    ~topology ~horizon () =
-  let graph = Cgraph.Topology.build topology in
+let run_on ?(period = 7) ?(seed = 0xACE5L) engine graph ~horizon =
   let n = Cgraph.Graph.n graph in
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharding engine ?pool ~parallel ~shards ~n ();
   let faults = Net.Faults.create engine ~n in
   let rng = Sim.Rng.create seed in
   (* Per-pid owned state; a cell is only ever touched by events owned by
@@ -65,10 +68,28 @@ let run ?pool ?(parallel = false) ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L)
   for i = 0 to n - 1 do
     checksum := mix !checksum csum.(i)
   done;
+  (* Every edge's final in-flight count and watermark, in edge-id order:
+     a cross-shard update applied late, twice or never shows here even
+     when the maximum watermark does not move. *)
+  let edge_digest = ref 0 in
+  for e = 0 to Cgraph.Graph.edge_count graph - 1 do
+    let a, b = Cgraph.Graph.edge_endpoints graph e in
+    edge_digest := mix !edge_digest (Net.Link_stats.edge_in_flight stats a b);
+    edge_digest := mix !edge_digest (Net.Link_stats.edge_watermark stats a b)
+  done;
   {
     events = Sim.Engine.processed engine;
     sent = Array.fold_left ( + ) 0 sent;
     received = Array.fold_left ( + ) 0 received;
     checksum = !checksum land max_int;
     worst_watermark = Net.Link_stats.max_edge_watermark stats;
+    edge_digest = !edge_digest land max_int;
   }
+
+let run ?pool ?(shards = 1) ?period ?seed ~topology ~horizon () =
+  let graph = Cgraph.Topology.build topology in
+  let engine = Sim.Engine.create () in
+  Option.iter
+    (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n:(Cgraph.Graph.n graph))
+    pool;
+  run_on ?period ?seed engine graph ~horizon

@@ -51,9 +51,8 @@ let watch_invariants ~engine ~horizon ~every (instance : Dining.Instance.t) =
   ignore (Sim.Engine.schedule_after engine ~delay:every check);
   error
 
-let create ?(trace = Sim.Trace.create ()) ?(metrics = Obs.Metrics.create ())
-    ?shards (s : Scenario.t) =
-  let parts = Setup.build ~trace ~metrics ?shards s in
+let create ?(trace = Sim.Trace.create ()) ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
+  let parts = Setup.build ~trace ~metrics s in
   let { Setup.engine; faults; graph; rng; instance; _ } = parts in
   let n = Cgraph.Graph.n graph in
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
@@ -159,8 +158,8 @@ let report ?horizon (w : t) =
     metrics = w.metrics;
   }
 
-let run ?trace ?metrics ?shards (s : Scenario.t) =
-  let w = create ?trace ?metrics ?shards s in
+let run ?trace ?metrics (s : Scenario.t) =
+  let w = create ?trace ?metrics s in
   advance w ~until:s.horizon;
   report w
 

@@ -14,9 +14,9 @@
    those arrays at query time: reads are report-rate, sends are not.
    Only the undirected-edge in-flight counters and their watermarks
    genuinely need both endpoints to write one cell in event order;
-   in sharded mode, updates to edges that cross a shard boundary are
-   buffered per shard and applied at the engine's step merge, in the
-   same canonical order every shard count produces. *)
+   in sharded mode, updates to edges that cross a shard boundary made
+   inside a parallel step are buffered per shard and applied at the
+   step's merge, in the order the pop loop applies them in place. *)
 
 type op = { o_rank : int; o_key : int } (* key = (edge * kc + kind) * 2 + send? *)
 
@@ -34,7 +34,7 @@ type t = {
   d_last_send : Sim.Time.t array; (* -1 = never (times are >= 0) *)
   (* Per undirected edge id (and per (edge, kind): edge * kind_count +
      kind): written by both endpoints, staged when they are on
-     different shards. *)
+     different shards and the update comes from a parallel step. *)
   e_in_flight : int array;
   e_watermark : int array;
   k_in_flight : int array;
@@ -122,9 +122,9 @@ let watch_dst t dst =
   if t.shards > 0 then invalid_arg "Link_stats.watch_dst: not shard-safe";
   if not (Hashtbl.mem t.watched dst) then Hashtbl.add t.watched dst (ref [])
 
-(* The one place edge/kind in-flight counters and watermarks move; in
-   sharded mode cross-shard ops arrive here via {!flush_staged}, in
-   canonical rank order. *)
+(* The one place edge/kind in-flight counters and watermarks move;
+   cross-shard ops made in a parallel step arrive here via
+   {!flush_staged}, in canonical rank order. *)
 let[@lint.hot] apply_edge t ~e ~ke ~send =
   if send then begin
     t.e_in_flight.(e) <- t.e_in_flight.(e) + 1;
@@ -137,9 +137,7 @@ let[@lint.hot] apply_edge t ~e ~ke ~send =
     t.k_in_flight.(ke) <- t.k_in_flight.(ke) - 1
   end
 
-let stage_op t ~key =
-  let sh = t.fire_shard () in
-  let sh = if sh >= 0 then sh else 0 in
+let stage_op t sh ~key =
   let v = t.op_staging.(sh) in
   let o = { o_rank = t.fire_rank (); o_key = key } in
   if v.on >= Array.length v.oa then begin
@@ -153,7 +151,13 @@ let stage_op t ~key =
 let edge_update t ~slot ~e ~ke ~send =
   if t.shards = 0 || t.shard_of (slot_src t slot) = t.shard_of (slot_dst t slot) then
     apply_edge t ~e ~ke ~send
-  else stage_op t ~key:((ke lsl 1) lor if send then 1 else 0)
+  else begin
+    (* Only a parallel step merges (and runs the flush hook): on the pop
+       loop, or before the run, a cross-shard update applies in place. *)
+    let sh = t.fire_shard () in
+    if sh < 0 then apply_edge t ~e ~ke ~send
+    else stage_op t sh ~key:((ke lsl 1) lor if send then 1 else 0)
+  end
 
 let flush_staged t =
   if t.shards > 0 then begin

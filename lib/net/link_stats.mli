@@ -15,9 +15,9 @@
     aggregates that used to be running scalars are derived from them at
     query time. The undirected-edge in-flight counters genuinely take
     writes from both endpoints; {!set_sharding} makes cross-shard
-    updates to them stage per shard and apply at the engine's step merge
-    in canonical rank order, so every count is independent of the shard
-    split. *)
+    updates to them made inside a parallel step stage per shard and
+    apply at the step's merge in canonical rank order, so every count is
+    the pop loop's, independent of the shard split. *)
 
 type t
 
@@ -102,9 +102,11 @@ val set_sharding :
   fire_rank:(unit -> int) ->
   fire_shard:(unit -> int) ->
   unit
-(** Switch cross-shard edge-counter updates to per-shard staging.
-    [shard_of] maps a pid to its shard; [fire_rank] / [fire_shard] probe
-    the engine's current fire context (see {!Sim.Engine.fire_rank}).
+(** Switch cross-shard edge-counter updates made inside a parallel step
+    ([fire_shard () >= 0]) to per-shard staging; elsewhere they still
+    apply in place. [shard_of] maps a pid to its shard; [fire_rank] /
+    [fire_shard] probe the engine's current fire context (see
+    {!Sim.Engine.fire_rank}).
     Live metrics bumps are disabled — call {!sync_metrics} at report
     time. Raises [Invalid_argument] if any destination is watched. *)
 

@@ -3,7 +3,7 @@ type 'msg t = {
   graph : Cgraph.Graph.t;
   delay : Delay.t;
   faults : Faults.t;
-  rng : Sim.Rng.t; (* shared stream (legacy mode) *)
+  rng : Sim.Rng.t; (* shared stream (not shard-safe) *)
   src_rngs : Sim.Rng.t array; (* per-source streams (shard-safe mode) *)
   kind : 'msg -> string;
   kind_index : 'msg -> int;

@@ -54,14 +54,12 @@ let handle id slot = ((id land handle_id_mask) lsl handle_slot_bits) lor slot
 let no_event = -1
 let unnamed = -2
 
-(* Events scheduled while a step's batch is firing wait in per-shard
-   staging vectors of (at, rank, x) triples until the sub-round's
-   merge. [rank] is the pop rank of the event that scheduled them: the
-   batch fires in pop order whatever the shard count, so (rank,
-   per-shard program order) is a total order independent of S. [x] is
-   the event's slot on the sequential path; in a parallel step it is the
-   owner, and the closure waits in [sf], because worker domains take no
-   slots. *)
+(* Events scheduled while a parallel step's batch is firing wait in
+   per-shard staging vectors of (at, rank, owner) triples, the closure
+   beside them in [sf], until the sub-round's merge: worker domains take
+   no slots. [rank] is the pop rank of the event that scheduled them, so
+   (rank, per-shard program order) is the order the pop loop would have
+   scheduled them in, whatever the shard count. *)
 type svec = { mutable sv : int array; mutable sn : int; mutable sf : (unit -> unit) array }
 
 (* Per-domain fire context: which shard is firing and the rank of the
@@ -77,17 +75,14 @@ type t = {
   mutable next_id : int;
   recorder : Obs.Recorder.t;
   tracing : bool ref; (* the recorder's live full-tracing flag *)
-  (* Sharded stepping (shards = 0: the legacy one-event-at-a-time fire
-     loop, byte-identical to what it always was). *)
+  (* Parallel stepping; [shards] is 0 until a pool is attached. *)
   mutable shards : int;
   mutable shard_n : int; (* process count the partition covers *)
   mutable pool : Exec.Pool.t option;
-  mutable parallel : bool; (* caller asserts shard-safe handlers *)
   mutable staging : svec array; (* per shard, reused across steps *)
   mutable stage_cur : int array; (* per shard: merge cursor *)
   mutable deferred_dead : int array; (* per shard: husk notes owed to the queue *)
   mutable in_step : bool;
-  mutable par_step : bool; (* this step fires its batches on the pool *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
   mutable batch : int array; (* slots of the tick's events in pop order *)
   mutable batch_len : int;
@@ -158,12 +153,10 @@ let create ?recorder () =
     shards = 0;
     shard_n = 0;
     pool = None;
-    parallel = false;
     staging = [||];
     stage_cur = [||];
     deferred_dead = [||];
     in_step = false;
-    par_step = false;
     base_rank = 0;
     batch = [||];
     batch_len = 0;
@@ -179,7 +172,7 @@ let create ?recorder () =
 let now t = t.clock
 let recorder t = t.recorder
 
-let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
+let set_sharding t ~pool ~shards ~n =
   if t.in_step then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
   if n <= 0 then invalid_arg "Engine.set_sharding: n must be positive";
   if n > owner_limit then
@@ -189,8 +182,7 @@ let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
   let shards = min shards n in
   t.shards <- shards;
   t.shard_n <- n;
-  t.pool <- pool;
-  t.parallel <- parallel;
+  t.pool <- Some pool;
   t.staging <- Array.init shards (fun _ -> { sv = [||]; sn = 0; sf = [||] });
   t.stage_cur <- Array.make shards 0;
   t.deferred_dead <- Array.make shards 0;
@@ -212,23 +204,16 @@ let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
 
-(* Append an (at, rank, x) triple to a shard's staging vector; returns
-   its index there. *)
-let stage_push t shard at rank x =
+(* Append an (at, rank, owner) triple and its closure to a shard's
+   staging vector. *)
+let stage t shard at rank owner f =
   let v = t.staging.(shard) in
   let i = v.sn in
   if (3 * i) + 3 > Array.length v.sv then v.sv <- grow_ints v.sv (max 24 (2 * Array.length v.sv)) 0;
   v.sv.(3 * i) <- at;
   v.sv.((3 * i) + 1) <- rank;
-  v.sv.((3 * i) + 2) <- x;
+  v.sv.((3 * i) + 2) <- owner;
   v.sn <- i + 1;
-  i
-
-(* A parallel step's schedule: the triple carries the owner, and the
-   closure waits beside it. *)
-let stage_unnamed t shard at rank owner f =
-  let i = stage_push t shard at rank owner in
-  let v = t.staging.(shard) in
   if i >= Array.length v.sf then begin
     let na = Array.make (max 8 (2 * Array.length v.sf)) noop in
     Array.blit v.sf 0 na 0 (Array.length v.sf);
@@ -245,7 +230,7 @@ let bad_owner owner =
 let in_the_past at now =
   invalid_arg (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at now)
 
-(* A queued-or-staged event in a fresh slot, with the next id. *)
+(* A new event in a fresh slot, with the next id. *)
 let[@lint.hot] new_event t owner f =
   let s = t.slab in
   let slot = take_slot s in
@@ -270,27 +255,15 @@ let[@lint.hot] schedule_owned t owner at f =
       handle (t.next_id - 1) slot
     end
     else begin
-      (* Staged stepping: the new event goes into the firing shard's
-         staging vector and reaches the queue at the sub-round's merge
-         point, in canonical (rank, program-order) order. *)
+      (* Parallel step: the new event goes into the firing shard's
+         staging vector. Worker domains must not take slots or ids, so
+         both are assigned at the sub-round's merge, in canonical
+         (rank, program-order) order, which lands on the ids the pop loop
+         would have given. The event has no handle yet, so the caller
+         gets [unnamed]. *)
       let ctx = Domain.DLS.get t.ctx_key in
-      let sh = if ctx.shard >= 0 then ctx.shard else 0 in
-      if not t.par_step then begin
-        let slot = new_event t owner f in
-        if !(t.tracing) then
-          Obs.Recorder.sched t.recorder ~time:t.clock ~id:(t.next_id - 1) ~at;
-        ignore (stage_push t sh at ctx.rank slot : int);
-        handle (t.next_id - 1) slot
-      end
-      else begin
-        (* Parallel step: worker domains must not take slots or ids, so
-           both are assigned at the merge, which lands on the same ids in
-           the same order as the sequential path does eagerly. The
-           closure waits in the staging vector; the event has no handle
-           yet, so the caller gets [unnamed]. *)
-        stage_unnamed t sh at ctx.rank owner f;
-        unnamed
-      end
+      stage t (if ctx.shard >= 0 then ctx.shard else 0) at ctx.rank owner f;
+      unnamed
     end
   end
 
@@ -315,10 +288,9 @@ let cancel t h =
          closure now so it doesn't pin its environment until then. *)
       s.action.(slot) <- noop;
       if t.in_step then begin
-        (* Deferred husk note: mid-step the event may live in a staging
-           vector or the current batch rather than the queue, and in a
-           parallel step the queue must not be touched from worker
-           domains. Settled at the sub-round merge. *)
+        (* Deferred husk note: mid-step the event may live in the
+           current batch rather than the queue, and the queue must not be
+           touched from worker domains. Settled at the sub-round merge. *)
         let ctx = Domain.DLS.get t.ctx_key in
         let sh = if ctx.shard >= 0 then ctx.shard else 0 in
         t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
@@ -331,8 +303,7 @@ let cancel t h =
     invalid_arg "Engine.cancel: the event was scheduled inside a parallel step and has no handle"
 
 (* Fire one popped event: mark it fired and release its slot, and unless
-   it was cancelled, advance the clock and run its action. Shared by the
-   fire loop and the staged sequential batch. *)
+   it was cancelled, advance the clock and run its action. *)
 let[@lint.hot] fire_slot t at slot =
   let s = t.slab in
   let st = s.state.(slot) in
@@ -355,19 +326,7 @@ let[@lint.hot] pop_slot t =
   if t.slab.state.(slot) land cancelled_bit <> 0 then Wheel.note_popped_dead t.queue;
   slot
 
-(* The fire loop is a toplevel tail recursion rather than a [ref]-driven
-   while: it runs once per event over the whole simulation, and keeping
-   it allocation-free means the only heap traffic per fired event is
-   whatever the action itself does. [at < Time.infinity] is the
-   non-empty test: the queue answers [max_int] when it has nothing. *)
-let[@lint.hot] rec fire_loop t ~until =
-  let at = Wheel.min_prio t.queue in
-  if at <= until && at < Time.infinity then begin
-    fire_slot t at (pop_slot t);
-    fire_loop t ~until
-  end
-
-(* ---- Sharded stepping ------------------------------------------------ *)
+(* ---- Parallel stepping ----------------------------------------------- *)
 
 let batch_push t slot =
   if t.batch_len >= Array.length t.batch then
@@ -375,26 +334,11 @@ let batch_push t slot =
   t.batch.(t.batch_len) <- slot;
   t.batch_len <- t.batch_len + 1
 
-(* Sequential staged fire: pop order, exactly the order the legacy loop
-   would have fired — shard labels only route staging vectors. *)
-let fire_batch_seq t tick =
-  let ctx = Domain.DLS.get t.ctx_key in
-  for r = 0 to t.batch_len - 1 do
-    let slot = t.batch.(r) in
-    ctx.rank <- t.base_rank + r;
-    ctx.shard <- shard_of t (owner_of_state t.slab.state.(slot));
-    fire_slot t tick slot
-  done;
-  ctx.rank <- -1;
-  ctx.shard <- -1
-
-(* Parallel staged fire: group the batch by shard (preserving pop order
-   within each shard) and fire the shards on the pool. Only reached when
-   the caller asserted shard-safe handlers and tracing is off; worker
-   domains never touch the queue, the recorder, [next_id] or the free
-   slots — they write only their own events' slab cells and their own
-   shard's staging vector. The batch's slots are released after the
-   barrier. *)
+(* Fire a batch: group it by shard (preserving pop order within each
+   shard) and fire the shards on the pool. Worker domains never touch
+   the queue, the recorder, [next_id] or the free slots — they write
+   only their own events' slab cells and their own shard's staging
+   vector. The batch's slots are released after the barrier. *)
 let fire_batch_par t tick pool =
   let s = t.shards in
   let slab = t.slab in
@@ -480,17 +424,11 @@ let merge_subround t tick =
     if sh >= 0 then begin
       let v = t.staging.(sh) and c = t.stage_cur.(sh) in
       t.stage_cur.(sh) <- c + 1;
-      let at = v.sv.(3 * c) and x = v.sv.((3 * c) + 2) in
-      let slot =
-        if t.par_step then begin
-          let f = v.sf.(c) in
-          (* Release the staged closure: the vector keeps its capacity
-             across steps and must not pin finished events. *)
-          v.sf.(c) <- noop;
-          new_event t x f
-        end
-        else x
-      in
+      let at = v.sv.(3 * c) and f = v.sf.(c) in
+      (* Release the staged closure: the vector keeps its capacity
+         across steps and must not pin finished events. *)
+      v.sf.(c) <- noop;
+      let slot = new_event t v.sv.((3 * c) + 2) f in
       if at = tick then batch_push t slot else Wheel.add t.queue ~prio:at slot;
       merge ()
     end
@@ -505,45 +443,44 @@ let merge_subround t tick =
   done;
   List.iter (fun f -> f ()) t.step_hooks
 
-(* Staged stepping: drain every event of the frontier tick into a batch,
-   fire the batch (sequentially in pop order, or shard-parallel on the
-   pool), merge staged effects, and repeat sub-rounds while the firing
-   keeps scheduling into the same tick. Equivalent to the legacy loop:
-   pop order is preserved, and merged insertion order equals program
-   order — the sequential staged path produces byte-identical traces to
-   shards = 0. *)
-let staged_loop t ~until =
-  let rec step () =
-    let tick = Wheel.min_prio t.queue in
-    if tick <= until && tick < Time.infinity then begin
-      t.batch_len <- 0;
-      while Wheel.min_prio t.queue = tick do
-        batch_push t (pop_slot t)
-      done;
-      t.in_step <- true;
-      t.par_step <-
-        t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
-      t.base_rank <- 0;
-      let rec subround () =
-        if t.batch_len > 0 then begin
-          let len = t.batch_len in
-          (match t.pool with
-          | Some pool when t.par_step -> fire_batch_par t tick pool
-          | _ -> fire_batch_seq t tick);
-          t.base_rank <- t.base_rank + len;
-          t.batch_len <- 0;
-          merge_subround t tick;
-          subround ()
-        end
-      in
-      subround ();
-      t.in_step <- false;
-      step ()
-    end
-  in
-  step ()
+(* A parallel step: drain every event of the frontier tick into a
+   batch, fire it shard-parallel, merge the staged effects, and repeat
+   sub-rounds while the firing keeps scheduling into the same tick. The
+   merge gives the scheduled events the ids and queue order the pop loop
+   would have, so a step fires the same events in the same per-shard
+   order as the pop loop does. *)
+let parallel_step t tick pool =
+  t.batch_len <- 0;
+  while Wheel.min_prio t.queue = tick do
+    batch_push t (pop_slot t)
+  done;
+  t.in_step <- true;
+  t.base_rank <- 0;
+  while t.batch_len > 0 do
+    let len = t.batch_len in
+    fire_batch_par t tick pool;
+    t.base_rank <- t.base_rank + len;
+    t.batch_len <- 0;
+    merge_subround t tick
+  done;
+  t.in_step <- false
 
-let run t ~until = if t.shards > 0 then staged_loop t ~until else fire_loop t ~until
+(* The one fire loop: pop and fire one event at a time, unless a pool is
+   attached over more than one shard and full tracing is off, in which
+   case the frontier tick fires as a parallel step. A toplevel tail
+   recursion rather than a [ref]-driven while: it runs once per event
+   over the whole simulation, and keeping it allocation-free means the
+   only heap traffic per fired event is whatever the action itself
+   does. [at < Time.infinity] is the non-empty test: the queue answers
+   [max_int] when it has nothing. *)
+let[@lint.hot] rec run t ~until =
+  let at = Wheel.min_prio t.queue in
+  if at <= until && at < Time.infinity then begin
+    (match t.pool with
+    | Some pool when t.shards > 1 && not !(t.tracing) -> parallel_step t at pool
+    | _ -> fire_slot t at (pop_slot t));
+    run t ~until
+  end
 
 let run_all t = run t ~until:Time.infinity
 let pending t = Wheel.size t.queue

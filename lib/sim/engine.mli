@@ -5,22 +5,22 @@
     equal times fire in scheduling order. Handlers run instantaneously in
     virtual time and may schedule further events.
 
-    {2 Sharded stepping}
+    {2 Fire loop and parallel steps}
 
-    {!set_sharding} switches the engine from the legacy
-    one-event-at-a-time fire loop to staged stepping: each step drains
-    every event of the frontier tick into a batch, fires the batch, and
-    merges the events scheduled during the firing back into the queue in
-    a canonical order — sorted by the pop rank of the scheduling event,
-    program order within a rank. Because pop order does not depend on
-    the shard count, the merged schedule (and hence the trace) is
-    bit-identical for any [shards]; the sequential staged path is
-    furthermore byte-identical to the legacy loop. When a pool is
-    attached and [parallel] is set, each shard's slice of the batch
-    fires on its own domain — only sound when every handler touches
+    {!run} pops and fires one event at a time. {!set_sharding} attaches
+    a domain pool and partitions the owner pids into shards; with more
+    than one shard, and full tracing off, each tick instead fires as a
+    parallel step: every event of the frontier tick is drained into a
+    batch, each shard's slice of the batch fires on its own domain, and
+    the events scheduled during the firing are merged back in a
+    canonical order — sorted by the pop rank of the scheduling event,
+    program order within a rank — which is the order the pop loop
+    schedules them in. A parallel run therefore computes what the pop
+    loop computes, for any shard count, provided every handler touches
     state of its own shard exclusively (cross-shard effects must go
     through [schedule] or a staged component such as
-    [Net.Link_stats]); full tracing must be off.
+    [Net.Link_stats]). Under full tracing the pop loop runs, so traces
+    are the pop loop's.
 
     {2 Storage}
 
@@ -62,14 +62,14 @@ val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
     must not be in the past. Scheduling at [Time.infinity] is a no-op
     that returns {!no_event}. [owner] is the process the event belongs
-    to (default: ownerless); sharded stepping partitions the batch on
+    to (default: ownerless); a parallel step partitions its batch on
     it. Events get trace ids in scheduling order.
 
     Inside a parallel step (see {!set_sharding}) the event is staged
     without a slot or an id — worker domains take neither; both are
-    assigned at the sub-round merge, in the same order as sequentially —
-    so the returned handle names no event and {!cancel} rejects it.
-    Sequential steps return ordinary handles.
+    assigned at the sub-round merge, in the pop loop's order — so the
+    returned handle names no event and {!cancel} rejects it. Outside a
+    parallel step handles are ordinary.
     @raise Invalid_argument if [owner] is below [-1] or does not fit
     the event's 21-bit owner field, or if more than 2{^26} events are
     pending at once (the handle's slot field). *)
@@ -102,35 +102,37 @@ val pending : t -> int
 val processed : t -> int
 (** Total number of events fired so far. *)
 
-val set_sharding : t -> ?pool:Exec.Pool.t -> ?parallel:bool -> shards:int -> n:int -> unit -> unit
-(** [set_sharding t ~pool ~parallel ~shards ~n ()] enables staged
-    stepping with [shards] contiguous shards over owner pids [0, n)
-    (clamped to [n]). Without [pool] (or with [parallel] false, the
-    default) batches still fire sequentially in pop order — same
-    results, same traces, any [shards]. With a pool and [~parallel:true]
-    batches fire shard-parallel whenever full tracing is off; the caller
-    thereby asserts every handler is shard-safe. Call before running;
-    raises [Invalid_argument] mid-step or if [n] exceeds the owner
-    field. *)
+val set_sharding : t -> pool:Exec.Pool.t -> shards:int -> n:int -> unit
+(** [set_sharding t ~pool ~shards ~n] attaches [pool] and partitions
+    owner pids [0, n) into [shards] contiguous shards (clamped to [n]).
+    With more than one shard, ticks fire as parallel steps on the pool
+    whenever full tracing is off; attaching the pool is the caller's
+    assertion that every handler is shard-safe. With one shard the pop
+    loop runs as without a pool. Call before running; raises
+    [Invalid_argument] mid-step, if [shards < 1] or if [n] exceeds the
+    owner field. *)
 
 val shards : t -> int
-(** Number of shards staged stepping partitions into; 0 when the engine
-    is on the legacy fire loop. *)
+(** Number of shards the owner pids are partitioned into; 0 until
+    {!set_sharding} attaches a pool. *)
 
 val shard_of : t -> int -> int
 (** [shard_of t owner] is the shard owning that pid under the current
     partition (0 for ownerless / unsharded). *)
 
 val fire_rank : t -> int
-(** Pop rank of the event currently firing on this domain, -1 outside a
-    fire phase. The canonical-merge key for staged per-shard effects. *)
+(** Pop rank, within its step, of the event currently firing on this
+    domain in a parallel step; -1 anywhere else, the pop loop included.
+    The canonical-merge key for staged per-shard effects. *)
 
 val fire_shard : t -> int
-(** Shard of the event currently firing on this domain, -1 outside a
-    fire phase. *)
+(** Shard of the event currently firing on this domain in a parallel
+    step; -1 anywhere else, the pop loop included. Components that stage
+    cross-shard effects stage them only when this is [>= 0], and apply
+    them in place otherwise. *)
 
 val add_step_hook : t -> (unit -> unit) -> unit
-(** Register a hook run (on the submitting domain) after every staged
-    sub-round merge — where components with their own per-shard staging
-    (e.g. [Net.Link_stats]) apply buffered cross-shard effects in
-    canonical order. Never called on the legacy fire loop. *)
+(** Register a hook run (on the submitting domain) after every
+    sub-round merge of a parallel step — where components with their own
+    per-shard staging (e.g. [Net.Link_stats]) apply buffered cross-shard
+    effects in canonical order. The pop loop never calls it. *)

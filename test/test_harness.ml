@@ -91,59 +91,45 @@ let workload_drives_everyone () =
   check bool "every process ate" true (Array.for_all (fun e -> e > 0) r.eats_per_process);
   check bool "hungry transitions >= eats" true (r.hungry_transitions >= r.total_eats)
 
-(* Sharded stepping is an engine implementation detail: the same
-   scenario must produce a bit-identical execution — report and full
-   trace record stream — for the legacy fire loop and for staged
-   stepping at any shard count. The heartbeat +
-   crashes scenario routes real message traffic, detector timers and
-   cancellations through the staged path. *)
-let shard_equivalence () =
-  let s =
-    scenario ~topology:(Cgraph.Topology.Random_gnp (14, 0.25, 2L))
-      ~detector:(Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 })
-      ~crashes:(Harness.Scenario.Random_crashes { count = 2; from_t = 1_000; to_t = 9_000 })
-      ~horizon:20_000 ()
+let ping_topology = Cgraph.Topology.Random_gnp (48, 0.12, 5L)
+
+(* Full tracing forces the pop loop even on a pool, and the pop loop runs
+   no step hooks: on a sharded network, a cross-shard Link_stats update
+   made there must apply in place, or the edge digest drifts from the
+   poolless run. *)
+let shard_ping_traced_pool () =
+  let horizon = 600 in
+  let plain = Harness.Shard_ping.run ~topology:ping_topology ~horizon () in
+  let graph = Cgraph.Topology.build ping_topology in
+  let recorder = Obs.Recorder.collecting () in
+  let traced =
+    Exec.Pool.with_pool ~domains:1 (fun pool ->
+        let engine = Sim.Engine.create ~recorder () in
+        Sim.Engine.set_sharding engine ~pool ~shards:4 ~n:(Cgraph.Graph.n graph);
+        Harness.Shard_ping.run_on engine graph ~horizon)
   in
-  let run shards =
-    let trace = Sim.Trace.collecting () in
-    let r = Harness.Run.run ~trace ~shards s in
-    (r, Sim.Trace.records trace)
-  in
-  let a, ta = run 0 in
-  List.iter
-    (fun shards ->
-      let b, tb = run shards in
-      check int (Printf.sprintf "same eats at shards=%d" shards) a.total_eats b.total_eats;
-      check int "same events" a.events_processed b.events_processed;
-      check int "same convergence" a.convergence b.convergence;
-      check int "same detector mistakes" a.detector_mistakes b.detector_mistakes;
-      check bool "same per-process eats" true (a.eats_per_process = b.eats_per_process);
-      check bool "same crash plan" true (a.crashed = b.crashed);
-      check bool "no invariant failures" true (b.invariant_error = None);
-      check bool (Printf.sprintf "identical traces at shards=%d" shards) true (ta = tb))
-    [ 1; 2; 4 ]
+  check bool "the run was traced" true (Obs.Recorder.count recorder > 0);
+  check bool "traced on a pool = poolless" true (traced = plain)
 
 (* The shard-safe ping workload is where sharding buys real parallelism:
-   shard-parallel execution on a domain pool must equal the sequential
-   run exactly, and the result must not depend on the shard count. *)
+   parallel steps on a domain pool must equal the pop loop exactly, for
+   any shard count. A 1-domain pool fires the shards inline in index
+   order; the 2-domain pool fires them concurrently. *)
 let shard_ping_parallel_equality () =
-  let topology = Cgraph.Topology.Random_gnp (48, 0.12, 5L) in
   let horizon = 1_500 in
-  let seq = Harness.Shard_ping.run ~shards:1 ~topology ~horizon () in
+  let seq = Harness.Shard_ping.run ~topology:ping_topology ~horizon () in
   check bool "traffic flowed" true (seq.Harness.Shard_ping.sent > 0 && seq.received > 0);
   List.iter
-    (fun shards ->
-      let r = Harness.Shard_ping.run ~shards ~topology ~horizon () in
-      check bool (Printf.sprintf "shards=%d equals shards=1" shards) true (r = seq))
-    [ 2; 3; 8 ];
-  Exec.Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun shards ->
-          let r = Harness.Shard_ping.run ~pool ~parallel:true ~shards ~topology ~horizon () in
-          check bool
-            (Printf.sprintf "parallel shards=%d equals sequential" shards)
-            true (r = seq))
-        [ 2; 4 ])
+    (fun (domains, shard_counts) ->
+      Exec.Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun shards ->
+              let r = Harness.Shard_ping.run ~pool ~shards ~topology:ping_topology ~horizon () in
+              check bool
+                (Printf.sprintf "domains=%d shards=%d equals the pop loop" domains shards)
+                true (r = seq))
+            shard_counts))
+    [ (1, [ 2; 3; 8 ]); (2, [ 2; 4 ]) ]
 
 (* ----------------------- theorem-shaped checks --------------------- *)
 
@@ -434,7 +420,7 @@ let suite =
     Alcotest.test_case "seed sensitivity" `Quick seed_changes_run;
     Alcotest.test_case "crash plans" `Quick crash_plans;
     Alcotest.test_case "workload drives everyone" `Quick workload_drives_everyone;
-    Alcotest.test_case "sharded stepping is trace-identical" `Quick shard_equivalence;
+    Alcotest.test_case "shard_ping: traced pool = no pool" `Quick shard_ping_traced_pool;
     Alcotest.test_case "shard_ping: parallel = sequential for any shards" `Quick
       shard_ping_parallel_equality;
     QCheck_alcotest.to_alcotest wait_freedom_property;

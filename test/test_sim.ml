@@ -620,89 +620,133 @@ let engine_saturated_delay_noop () =
   Sim.Engine.run_all engine;
   check int "clock untouched" 10 (Sim.Engine.now engine)
 
-(* ------------------------- Sharded stepping ------------------------- *)
+(* ------------------------- Parallel steps ------------------------- *)
 
-(* A workload that exercises everything staged stepping must get right:
-   nested scheduling, same-tick scheduling (sub-rounds), cancellation of
-   both queued and same-tick events, owner tags spread over processes. *)
-let staged_workload ~shards () =
+(* A shard-safe workload that exercises everything a parallel step must
+   get right: nested scheduling, same-tick chains across owners
+   (sub-rounds), cancellation of both a queued and an in-batch event,
+   owner tags spread over processes. Every handler writes only its
+   owner's cells, and each canceller shares its victim's owner, so it
+   runs on the victim's shard at any shard count. The initial events are
+   scheduled in descending owner order, so ranks and shard order
+   disagree: a merge by shard instead of by rank reorders what fires
+   at a tick.
+
+   Each log entry is (tag, time, fire rank); [stepped.(owner)] records
+   whether one of the owner's events fired inside a parallel step. *)
+let staged_workload ?pool ?(shards = 1) () =
   let engine = Sim.Engine.create () in
-  if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n:8 ();
-  let log = ref [] in
-  let victim = ref None in
-  let note tag () = log := (tag, Sim.Engine.now engine) :: !log in
+  Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n:8) pool;
+  let logs = Array.make 8 [] in
+  let stepped = Array.make 8 false in
+  let note owner tag () =
+    let rank = Sim.Engine.fire_rank engine in
+    if rank >= 0 then stepped.(owner) <- true;
+    logs.(owner) <- (tag, Sim.Engine.now engine, rank) :: logs.(owner)
+  in
   let rec chain owner n () =
-    note (100 + n) ();
+    note owner (100 + n) ();
     if n > 0 then
       ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + (n mod 3)) (chain owner (n - 1)))
   in
-  for owner = 0 to 7 do
+  for owner = 7 downto 0 do
     ignore (Sim.Engine.schedule engine ~owner ~at:(owner mod 3) (chain owner 5))
   done;
-  (* Same-tick scheduling: fires in the same step, a sub-round later. *)
+  (* A same-tick chain across owners: each link fires in the same step,
+     a sub-round later. *)
   ignore
     (Sim.Engine.schedule engine ~owner:1 ~at:4 (fun () ->
-         note 1 ();
+         note 1 1 ();
          ignore
            (Sim.Engine.schedule engine ~owner:6 ~at:4 (fun () ->
-                note 2 ();
-                ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3))))));
-  (* Cancel a queued event from another shard's handler... *)
-  victim := Some (Sim.Engine.schedule engine ~owner:7 ~at:9 (fun () -> note 666 ()));
-  ignore
-    (Sim.Engine.schedule engine ~owner:0 ~at:6 (fun () ->
-         Sim.Engine.cancel engine (Option.get !victim)));
+                note 6 2 ();
+                ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3 3))))));
+  (* Cancel a queued event... *)
+  let victim = Sim.Engine.schedule engine ~owner:7 ~at:9 (note 7 666) in
+  ignore (Sim.Engine.schedule engine ~owner:7 ~at:6 (fun () -> Sim.Engine.cancel engine victim));
   (* ...and a same-tick one later in the same batch: the canceller pops
      first (earlier schedule order), so the victim must not fire even
      though it was drained into the batch alongside it. *)
-  let batch_victim = ref None in
+  let batch_victim = ref Sim.Engine.no_event in
   ignore
-    (Sim.Engine.schedule engine ~owner:2 ~at:2 (fun () ->
-         Sim.Engine.cancel engine (Option.get !batch_victim)));
-  batch_victim := Some (Sim.Engine.schedule engine ~owner:5 ~at:2 (fun () -> note 667 ()));
+    (Sim.Engine.schedule engine ~owner:5 ~at:2 (fun () -> Sim.Engine.cancel engine !batch_victim));
+  batch_victim := Sim.Engine.schedule engine ~owner:5 ~at:2 (note 5 667);
+  let snapshot () =
+    (Array.map List.rev logs, Sim.Engine.now engine, Sim.Engine.processed engine)
+  in
   Sim.Engine.run engine ~until:12;
-  let mid = (List.rev !log, Sim.Engine.now engine, Sim.Engine.processed engine) in
+  let mid = snapshot () in
   Sim.Engine.run_all engine;
-  (mid, List.rev !log, Sim.Engine.now engine, Sim.Engine.processed engine)
+  ((mid, snapshot ()), Array.for_all Fun.id stepped)
 
-let engine_staged_matches_legacy () =
-  let reference = staged_workload ~shards:0 () in
+(* The pop loop's view of a run: logs without fire ranks, which only a
+   parallel step reports. *)
+let without_ranks ((logs, now, processed), (logs', now', processed')) =
+  let strip = Array.map (List.map (fun (tag, at, _) -> (tag, at))) in
+  ((strip logs, now, processed), (strip logs', now', processed'))
+
+(* A 1-domain pool fires the shards inline in index order, so the merge
+   is checked deterministically; the 2-domain pool fires them
+   concurrently. Every parallel run must equal the pop loop, and the
+   ranks must not depend on the shard or domain count. *)
+let engine_parallel_matches_pop_loop () =
+  let reference, reference_stepped = staged_workload () in
+  check bool "the pop loop runs no parallel step" false reference_stepped;
+  let ranked = ref None in
   List.iter
-    (fun shards ->
-      let r = staged_workload ~shards () in
-      check bool (Printf.sprintf "shards=%d equals the legacy loop" shards) true
-        (r = reference))
-    [ 1; 2; 3; 8 ];
-  (* Sanity on the reference itself: the cancelled events never fired. *)
-  let _, log, _, _ = reference in
+    (fun (domains, shard_counts) ->
+      Exec.Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun shards ->
+              let r, stepped = staged_workload ~pool ~shards () in
+              let what = Printf.sprintf "domains=%d shards=%d" domains shards in
+              check bool (what ^ ": every owner fired in a parallel step") true stepped;
+              check bool (what ^ ": equals the pop loop") true
+                (without_ranks r = without_ranks reference);
+              match !ranked with
+              | None -> ranked := Some r
+              | Some r0 -> check bool (what ^ ": same fire ranks") true (r = r0))
+            shard_counts))
+    [ (1, [ 2; 3; 8 ]); (2, [ 2; 3; 8 ]) ];
+  (* Sanity on the reference itself. *)
+  let _, (logs, _, _) = reference in
   check bool "cancelled queued event never fired" true
-    (not (List.mem_assoc 666 log));
+    (not (List.exists (fun (tag, _, _) -> tag = 666) logs.(7)));
   check bool "cancelled same-tick event never fired" true
-    (not (List.mem_assoc 667 log))
+    (not (List.exists (fun (tag, _, _) -> tag = 667) logs.(5)));
+  check bool "the same-tick chain reached its third owner" true
+    (List.exists (fun (tag, at, _) -> tag = 3 && at = 4) logs.(3))
 
 let engine_staged_until_boundary () =
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharding engine ~shards:4 ~n:4 ();
-  let fired = ref [] in
-  List.iter
-    (fun t ->
-      ignore
-        (Sim.Engine.schedule engine ~owner:(t mod 4) ~at:t (fun () -> fired := t :: !fired)))
-    [ 5; 10; 15 ];
-  Sim.Engine.run engine ~until:10;
-  check (Alcotest.list int) "staged run ~until fires only <= until" [ 5; 10 ]
-    (List.rev !fired);
-  check int "staged clock at last fired event" 10 (Sim.Engine.now engine);
-  check int "later event still pending" 1 (Sim.Engine.pending engine)
+  (* One domain: the handlers share [fired], which is safe only when the
+     shards fire inline. *)
+  Exec.Pool.with_pool ~domains:1 (fun pool ->
+      let engine = Sim.Engine.create () in
+      Sim.Engine.set_sharding engine ~pool ~shards:4 ~n:4;
+      let fired = ref [] in
+      List.iter
+        (fun t ->
+          ignore
+            (Sim.Engine.schedule engine ~owner:(t mod 4) ~at:t (fun () -> fired := t :: !fired)))
+        [ 5; 10; 15 ];
+      Sim.Engine.run engine ~until:10;
+      check (Alcotest.list int) "staged run ~until fires only <= until" [ 5; 10 ]
+        (List.rev !fired);
+      check int "staged clock at last fired event" 10 (Sim.Engine.now engine);
+      check int "later event still pending" 1 (Sim.Engine.pending engine))
 
-let engine_staged_traces_identical () =
-  let capture shards =
+(* Full tracing turns parallel steps off: a traced run on a pool is the
+   pop loop's, record for record. *)
+let engine_traced_pool_runs_pop_loop () =
+  let capture pool shards =
     let recorder = Obs.Recorder.collecting () in
     let engine = Sim.Engine.create ~recorder () in
-    if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n:4 ();
+    Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n:4) pool;
     let rec tick owner n () =
-      if n > 0 then
+      if n > 0 then begin
+        check int "the pop loop reports no fire shard" (-1) (Sim.Engine.fire_shard engine);
         ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + owner) (tick owner (n - 1)))
+      end
     in
     for owner = 0 to 3 do
       ignore (Sim.Engine.schedule engine ~owner ~at:owner (tick owner 4))
@@ -712,13 +756,14 @@ let engine_staged_traces_identical () =
     Obs.Recorder.iter recorder (fun r -> Obs.Jsonl.append buf r);
     Buffer.contents buf
   in
-  let reference = capture 0 in
-  List.iter
-    (fun s ->
-      check Alcotest.string
-        (Printf.sprintf "full trace identical at shards=%d" s)
-        reference (capture s))
-    [ 1; 2; 4 ]
+  let reference = capture None 1 in
+  Exec.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun s ->
+          check Alcotest.string
+            (Printf.sprintf "full trace identical on a pool at shards=%d" s)
+            reference (capture (Some pool) s))
+        [ 1; 2; 4 ])
 
 (* Handles name one event, not its slot. A fired or cancelled event's
    slot is recycled by the next schedule; cancelling through the old
@@ -765,29 +810,29 @@ let engine_stale_handles () =
 (* Inside a parallel step, worker domains take no slots and no ids: an
    event scheduled there gets both at the sub-round merge, and
    [schedule] returns a handle that names no event, which [cancel]
-   rejects. The events still fire, in the same order as sequentially.
-   A sequential staged step's handles cancel as usual. *)
+   rejects. The events still fire, at the same times as on the pop
+   loop, whose handles cancel as usual. *)
 let engine_parallel_step_handles () =
-  let run ?pool ~parallel () =
+  let run ?pool () =
     let engine = Sim.Engine.create () in
-    Sim.Engine.set_sharding engine ?pool ~parallel ~shards:2 ~n:2 ();
+    Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:2) pool;
     let inner = Array.make 2 None in
-    let order = Array.make 2 [] in
+    let fired_at = Array.make 2 [] in
     for owner = 0 to 1 do
       ignore
         (Sim.Engine.schedule engine ~owner ~at:1 (fun () ->
              inner.(owner) <-
                Some
                  (Sim.Engine.schedule engine ~owner ~at:5 (fun () ->
-                      order.(owner) <- Sim.Engine.fire_rank engine :: order.(owner)))))
+                      fired_at.(owner) <- Sim.Engine.now engine :: fired_at.(owner)))))
     done;
     Sim.Engine.run engine ~until:1;
-    check int "both inner events queued at the merge" 2 (Sim.Engine.pending engine);
-    (engine, Array.map Option.get inner, order)
+    check int "both inner events queued" 2 (Sim.Engine.pending engine);
+    (engine, Array.map Option.get inner, fired_at)
   in
-  let engine, handles, order =
+  let engine, fired_at =
     Exec.Pool.with_pool ~domains:2 (fun pool ->
-        let ((engine, handles, _) as r) = run ~pool ~parallel:true () in
+        let engine, handles, fired_at = run ~pool () in
         Array.iter
           (fun h ->
             Alcotest.check_raises "a parallel step's handle is rejected"
@@ -796,16 +841,15 @@ let engine_parallel_step_handles () =
               (fun () -> Sim.Engine.cancel engine h))
           handles;
         Sim.Engine.run_all engine;
-        r)
+        (engine, fired_at))
   in
-  ignore handles;
   check int "both fired" 4 (Sim.Engine.processed engine);
-  let seq_engine, seq_handles, seq_order = run ~parallel:false () in
-  Sim.Engine.cancel seq_engine seq_handles.(1);
-  Sim.Engine.run_all seq_engine;
-  check (Alcotest.list int) "owner 0 fires at the same rank" seq_order.(0) order.(0);
-  check (Alcotest.list int) "a sequential step's handle cancels" [] seq_order.(1);
-  check int "the cancelled one did not fire" 3 (Sim.Engine.processed seq_engine)
+  let pop_engine, pop_handles, pop_fired_at = run () in
+  Sim.Engine.cancel pop_engine pop_handles.(1);
+  Sim.Engine.run_all pop_engine;
+  check (Alcotest.list int) "owner 0 fires at the same time" pop_fired_at.(0) fired_at.(0);
+  check (Alcotest.list int) "a pop loop handle cancels" [] pop_fired_at.(1);
+  check int "the cancelled one did not fire" 3 (Sim.Engine.processed pop_engine)
 
 (* ------------------------------ Trace ------------------------------ *)
 
@@ -876,11 +920,11 @@ let suite =
       queue_rejects_infinity;
     Alcotest.test_case "engine: saturated delay is a no-op (wheel)" `Quick
       engine_saturated_delay_noop;
-    Alcotest.test_case "engine: staged stepping equals the legacy loop" `Quick
-      engine_staged_matches_legacy;
+    Alcotest.test_case "engine: parallel steps = the pop loop" `Quick
+      engine_parallel_matches_pop_loop;
     Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
-    Alcotest.test_case "engine: staged traces byte-identical" `Quick
-      engine_staged_traces_identical;
+    Alcotest.test_case "engine: traced pool runs the pop loop" `Quick
+      engine_traced_pool_runs_pop_loop;
     Alcotest.test_case "engine: cancel releases the closure (wheel)" `Quick
       engine_cancel_releases_closure;
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
